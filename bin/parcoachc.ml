@@ -39,7 +39,18 @@ let run file bench initial_multi level taint interproc races requests only
     | None -> ()
     | Some t -> Fmt.epr "per-phase wall-clock:@.%a" Parcoach.Timings.pp t
   in
-  let program = time "parse" (fun () -> read_program file bench) in
+  let program =
+    match
+      time "parse" (fun () ->
+          Minilang.Validate.syntax_errors (fun () -> read_program file bench))
+    with
+    | Ok program -> program
+    | Error i ->
+        if json then print_endline (Parcoach.Json_report.invalid_to_string [ i ])
+        else Fmt.epr "%a: %s@." Minilang.Loc.pp i.loc i.message;
+        report_timings ();
+        exit 1
+  in
   let issues =
     time "validate" (fun () -> Minilang.Validate.check_program program)
   in
@@ -218,8 +229,8 @@ let jobs =
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Analyse up to $(docv) functions in parallel (OCaml domains). \
-           Defaults to the available cores; 1 forces the sequential path. \
-           The report is identical for every value.")
+           Without it, functions are analysed one after another on a \
+           single domain. The report is identical for every value.")
 
 let json =
   Arg.(

@@ -81,7 +81,8 @@ let jobs =
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Default per-request analysis parallelism (OCaml domains); \
-           requests can override with their own 'jobs' parameter.")
+           requests can override with their own 'jobs' parameter. \
+           Without it, requests are analysed on a single domain.")
 
 let cache_size =
   Arg.(

@@ -29,7 +29,13 @@ let read_program file bench =
 let run file bench ranks threads seed round_robin max_steps instrument jobs
     inject show_trace must_check overlay overlay_fanout level explore
     explore_mode branch_depth budget explore_jobs interp =
-  let program = read_program file bench in
+  let program =
+    match Minilang.Validate.syntax_errors (fun () -> read_program file bench) with
+    | Ok program -> program
+    | Error i ->
+        Fmt.epr "%a: %s@." Minilang.Loc.pp i.loc i.message;
+        exit 1
+  in
   let issues = Minilang.Validate.check_program program in
   List.iter (fun i -> Fmt.epr "%s@." (Minilang.Validate.issue_to_string i)) issues;
   if not (Minilang.Validate.is_valid issues) then exit 1;
@@ -225,7 +231,8 @@ let jobs =
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "With $(b,--instrument): analyse up to $(docv) functions in \
-           parallel (OCaml domains). Defaults to the available cores.")
+           parallel (OCaml domains). Without it, functions are analysed \
+           one after another on a single domain.")
 
 let inject =
   let bug_conv =

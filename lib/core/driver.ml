@@ -187,10 +187,10 @@ let run_parallel ~jobs nitems work =
     existing compilation pipeline without rebuilding them, as PARCOACH does
     inside the compiler.
 
-    [jobs] caps the number of domains analysing functions concurrently;
-    the default is [min (Domain.recommended_domain_count ()) nfuncs].
-    [jobs:1] runs the plain sequential loop.  The report is identical
-    whatever the job count.
+    [jobs] caps the number of domains analysing functions concurrently.
+    Without it (or with [jobs:1]) the analysis runs on the calling domain:
+    on the catalog programs spawning domains does not pay.  The report is
+    identical whatever the job count.
 
     [reuse], when given, is consulted per function {e before} any
     analysis runs: returning [Some fr] injects the pre-computed report
@@ -246,7 +246,7 @@ let analyze ?(options = default_options) ?graphs ?jobs ?reuse ?timings
     match jobs with
     | Some j when j < 1 -> invalid_arg "Driver.analyze: jobs must be >= 1"
     | Some j -> min j (max ntodo 1)
-    | None -> min (Domain.recommended_domain_count ()) (max ntodo 1)
+    | None -> 1
   in
   let analyze_item (graph, f) =
     analyze_func ?graph ?call_collects ?timings options f

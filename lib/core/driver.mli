@@ -65,9 +65,8 @@ val analyze_func :
     of rebuilding, as PARCOACH does inside the compiler.
 
     [jobs] bounds the number of OCaml 5 domains analysing functions in
-    parallel; it defaults to
-    [min (Domain.recommended_domain_count ()) nfuncs], and [jobs:1]
-    forces the sequential path.  Results are merged in source order, so
+    parallel.  When it is omitted the analysis runs sequentially on the
+    calling domain, as with [jobs:1].  Results are merged in source order, so
     the report (warnings, CC sites, JSON) is byte-identical for every
     job count.
 

@@ -1,7 +1,10 @@
 (** Hand-written lexer for the mini-language surface syntax.
 
     Supports [//] line comments, [/* ... */] block comments, and an optional
-    [#] before [pragma] so that sources can look like real OpenMP code. *)
+    [#] before [pragma] so that sources can look like real OpenMP code.
+
+    One pass over the string by index fills a token stream held as
+    parallel arrays; locations are built only when asked for. *)
 
 type token =
   | INT of int
@@ -105,183 +108,197 @@ let token_to_string = function
 
 exception Lex_error of Loc.t * string
 
-let keyword_table =
-  [
-    ("func", FUNC);
-    ("var", VAR);
-    ("if", IF);
-    ("else", ELSE);
-    ("while", WHILE);
-    ("for", FOR);
-    ("to", TO);
-    ("return", RETURN);
-    ("pragma", PRAGMA);
-    ("omp", OMP);
-    ("parallel", PARALLEL);
-    ("single", SINGLE);
-    ("master", MASTER);
-    ("critical", CRITICAL);
-    ("barrier", BARRIER);
-    ("sections", SECTIONS);
-    ("section", SECTION);
-    ("num_threads", NUM_THREADS);
-    ("nowait", NOWAIT);
-    ("reduction", REDUCTION);
-    ("true", TRUE);
-    ("false", FALSE);
-  ]
-
-type state = {
-  src : string;
+type stream = {
   file : string;
-  mutable pos : int;
-  mutable line : int;
-  mutable col : int;
+  toks : token array;
+  lines : int array;
+  cols : int array;
+  len : int;
 }
 
-let make_state ~file src = { src; file; pos = 0; line = 1; col = 1 }
+let loc s i = Loc.make ~file:s.file ~line:s.lines.(i) ~col:s.cols.(i)
 
-let loc_of st = Loc.make ~file:st.file ~line:st.line ~col:st.col
+let keyword = function
+  | "func" -> FUNC
+  | "var" -> VAR
+  | "if" -> IF
+  | "else" -> ELSE
+  | "while" -> WHILE
+  | "for" -> FOR
+  | "to" -> TO
+  | "return" -> RETURN
+  | "pragma" -> PRAGMA
+  | "omp" -> OMP
+  | "parallel" -> PARALLEL
+  | "single" -> SINGLE
+  | "master" -> MASTER
+  | "critical" -> CRITICAL
+  | "barrier" -> BARRIER
+  | "sections" -> SECTIONS
+  | "section" -> SECTION
+  | "num_threads" -> NUM_THREADS
+  | "nowait" -> NOWAIT
+  | "reduction" -> REDUCTION
+  | "true" -> TRUE
+  | "false" -> FALSE
+  | word -> IDENT word
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+(* Scanner state.  [bol] is the offset of the current line's first byte,
+   so the column of offset [i] is [i - bol + 1]. *)
+type scanner = {
+  src : string;
+  sfile : string;
+  mutable pos : int;
+  mutable line : int;
+  mutable bol : int;
+  mutable stoks : token array;
+  mutable slines : int array;
+  mutable scols : int array;
+  mutable slen : int;
+}
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+let fail sc ~line ~col msg =
+  raise (Lex_error (Loc.make ~file:sc.sfile ~line ~col, msg))
 
-let advance st =
-  (match peek st with
-  | Some '\n' ->
-      st.line <- st.line + 1;
-      st.col <- 1
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
-  st.pos <- st.pos + 1
+let newline sc i =
+  sc.line <- sc.line + 1;
+  sc.bol <- i + 1
+
+(* Appends [tok], which starts at [line]/[col] and ends before offset
+   [stop]. *)
+let emit sc tok ~line ~col stop =
+  if sc.slen = Array.length sc.stoks then begin
+    let grow a = Array.append a (Array.make sc.slen a.(0)) in
+    sc.stoks <- grow sc.stoks;
+    sc.slines <- grow sc.slines;
+    sc.scols <- grow sc.scols
+  end;
+  sc.stoks.(sc.slen) <- tok;
+  sc.slines.(sc.slen) <- line;
+  sc.scols.(sc.slen) <- col;
+  sc.slen <- sc.slen + 1;
+  sc.pos <- stop
 
 let is_digit c = c >= '0' && c <= '9'
 
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+let is_ident_char = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' -> true
+  | _ -> false
 
-let is_ident_char c = is_ident_start c || is_digit c
+(* Index of the first byte at or after [i] not satisfying [p]. *)
+let rec skip_while p src i =
+  if i < String.length src && p (String.unsafe_get src i) then
+    skip_while p src (i + 1)
+  else i
 
-let rec skip_ws_and_comments st =
-  match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-      advance st;
-      skip_ws_and_comments st
-  | Some '#' ->
-      (* Allow '#pragma': skip the '#', the keyword follows. *)
-      advance st;
-      skip_ws_and_comments st
-  | Some '/' when peek2 st = Some '/' ->
-      let rec to_eol () =
-        match peek st with
-        | Some '\n' | None -> ()
-        | Some _ ->
-            advance st;
-            to_eol ()
-      in
-      to_eol ();
-      skip_ws_and_comments st
-  | Some '/' when peek2 st = Some '*' ->
-      let start = loc_of st in
-      advance st;
-      advance st;
-      let rec to_close () =
-        match (peek st, peek2 st) with
-        | Some '*', Some '/' ->
-            advance st;
-            advance st
-        | Some _, _ ->
-            advance st;
-            to_close ()
-        | None, _ -> raise (Lex_error (start, "unterminated block comment"))
-      in
-      to_close ();
-      skip_ws_and_comments st
-  | Some _ | None -> ()
+(* Index just past the closing delimiter of a block comment or string
+   whose body starts at [i], counting the newlines it spans. *)
+let rec close sc ~star i =
+  let src = sc.src in
+  if i >= String.length src then -1
+  else
+    match String.unsafe_get src i with
+    | '*' when star && i + 1 < String.length src && src.[i + 1] = '/' -> i + 2
+    | '"' when not star -> i + 1
+    | c ->
+        if c = '\n' then newline sc i;
+        close sc ~star (i + 1)
 
-(** Next token with its starting location. *)
-let next_token st : token * Loc.t =
-  skip_ws_and_comments st;
-  let loc = loc_of st in
-  match peek st with
-  | None -> (EOF, loc)
-  | Some c when is_digit c ->
-      let start = st.pos in
-      while (match peek st with Some c -> is_digit c | None -> false) do
-        advance st
-      done;
-      (INT (int_of_string (String.sub st.src start (st.pos - start))), loc)
-  | Some c when is_ident_start c ->
-      let start = st.pos in
-      while (match peek st with Some c -> is_ident_char c | None -> false) do
-        advance st
-      done;
-      let word = String.sub st.src start (st.pos - start) in
+(* Decimal value of the digits in [src.[i..stop-1]], or [-1] when it
+   exceeds [max_int]. *)
+let rec int_value src i stop acc =
+  if i = stop then acc
+  else
+    let d = Char.code src.[i] - 48 in
+    if acc > (max_int - d) / 10 then -1
+    else int_value src (i + 1) stop ((10 * acc) + d)
+
+let token sc =
+  let src = sc.src and i = sc.pos in
+  let line = sc.line and col = i - sc.bol + 1 in
+  let next = if i + 1 < String.length src then src.[i + 1] else '\000' in
+  match src.[i] with
+  | '0' .. '9' ->
+      let stop = skip_while is_digit src i in
+      let n = int_value src i stop 0 in
+      if n < 0 then
+        fail sc ~line ~col
+          (Printf.sprintf "integer literal %s is out of range (max %d)"
+             (String.sub src i (stop - i)) max_int);
+      emit sc (INT n) ~line ~col stop
+  | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
+      let stop = skip_while is_ident_char src i in
+      emit sc (keyword (String.sub src i (stop - i))) ~line ~col stop
+  | '"' ->
+      let stop = close sc ~star:false (i + 1) in
+      if stop < 0 then fail sc ~line ~col "unterminated string literal";
+      emit sc (STRING (String.sub src (i + 1) (stop - i - 2))) ~line ~col stop
+  | c ->
       let tok =
-        match List.assoc_opt word keyword_table with
-        | Some t -> t
-        | None -> IDENT word
+        match (c, next) with
+        | '=', '=' -> EQEQ
+        | '=', _ -> ASSIGN
+        | '!', '=' -> NE
+        | '!', _ -> BANG
+        | '<', '=' -> LE
+        | '<', _ -> LT
+        | '>', '=' -> GE
+        | '>', _ -> GT
+        | '&', '&' -> ANDAND
+        | '|', '|' -> OROR
+        | '(', _ -> LPAREN
+        | ')', _ -> RPAREN
+        | '{', _ -> LBRACE
+        | '}', _ -> RBRACE
+        | ',', _ -> COMMA
+        | ':', _ -> COLON
+        | ';', _ -> SEMI
+        | '+', _ -> PLUS
+        | '-', _ -> MINUS
+        | '*', _ -> STAR
+        | '/', _ -> SLASH
+        | '%', _ -> PERCENT
+        | _ -> fail sc ~line ~col (Printf.sprintf "unexpected character %C" c)
       in
-      (tok, loc)
-  | Some '"' ->
-      advance st;
-      let buf = Buffer.create 16 in
-      let rec scan () =
-        match peek st with
-        | Some '"' -> advance st
-        | Some c ->
-            Buffer.add_char buf c;
-            advance st;
-            scan ()
-        | None -> raise (Lex_error (loc, "unterminated string literal"))
-      in
-      scan ();
-      (STRING (Buffer.contents buf), loc)
-  | Some c ->
-      let two tok =
-        advance st;
-        advance st;
-        (tok, loc)
-      in
-      let one tok =
-        advance st;
-        (tok, loc)
-      in
-      (match (c, peek2 st) with
-      | '=', Some '=' -> two EQEQ
-      | '=', _ -> one ASSIGN
-      | '!', Some '=' -> two NE
-      | '!', _ -> one BANG
-      | '<', Some '=' -> two LE
-      | '<', _ -> one LT
-      | '>', Some '=' -> two GE
-      | '>', _ -> one GT
-      | '&', Some '&' -> two ANDAND
-      | '|', Some '|' -> two OROR
-      | '(', _ -> one LPAREN
-      | ')', _ -> one RPAREN
-      | '{', _ -> one LBRACE
-      | '}', _ -> one RBRACE
-      | ',', _ -> one COMMA
-      | ':', _ -> one COLON
-      | ';', _ -> one SEMI
-      | '+', _ -> one PLUS
-      | '-', _ -> one MINUS
-      | '*', _ -> one STAR
-      | '/', _ -> one SLASH
-      | '%', _ -> one PERCENT
-      | _ ->
-          raise
-            (Lex_error (loc, Printf.sprintf "unexpected character %C" c)))
+      (* An operator's lexeme is its printed form. *)
+      emit sc tok ~line ~col (i + String.length (token_to_string tok))
 
-(** Tokenise a whole source string. *)
-let tokenize ~file src =
-  let st = make_state ~file src in
-  let rec loop acc =
-    let tok, loc = next_token st in
-    match tok with
-    | EOF -> List.rev ((EOF, loc) :: acc)
-    | _ -> loop ((tok, loc) :: acc)
+let scan ~file src =
+  let n = String.length src in
+  let cap = (n / 4) + 16 in
+  let sc =
+    {
+      src;
+      sfile = file;
+      pos = 0;
+      line = 1;
+      bol = 0;
+      stoks = Array.make cap EOF;
+      slines = Array.make cap 0;
+      scols = Array.make cap 0;
+      slen = 0;
+    }
   in
-  loop []
+  while sc.pos < n do
+    let i = sc.pos in
+    match src.[i] with
+    | ' ' | '\t' | '\r' | '#' -> sc.pos <- i + 1
+    | '\n' ->
+        newline sc i;
+        sc.pos <- i + 1
+    | '/' when i + 1 < n && src.[i + 1] = '/' ->
+        sc.pos <- skip_while (fun c -> c <> '\n') src i
+    | '/' when i + 1 < n && src.[i + 1] = '*' ->
+        let line = sc.line and col = i - sc.bol + 1 in
+        let stop = close sc ~star:true (i + 2) in
+        if stop < 0 then fail sc ~line ~col "unterminated block comment";
+        sc.pos <- stop
+    | _ -> token sc
+  done;
+  emit sc EOF ~line:sc.line ~col:(n - sc.bol + 1) n;
+  { file; toks = sc.stoks; lines = sc.slines; cols = sc.scols; len = sc.slen }
+
+let tokenize ~file src =
+  let s = scan ~file src in
+  let rec build i acc = if i < 0 then acc else build (i - 1) ((s.toks.(i), loc s i) :: acc) in
+  build (s.len - 1) []

@@ -56,6 +56,24 @@ val token_to_string : token -> string
 
 exception Lex_error of Loc.t * string
 
-(** Tokenise a whole source string; the result ends with [EOF].
-    @raise Lex_error on malformed input. *)
+(** A tokenised source: token [i] starts at line [lines.(i)], column
+    [cols.(i)] of [file].  Tokens [0 .. len-1] are valid and the last of
+    them is [EOF]. *)
+type stream = private {
+  file : string;
+  toks : token array;
+  lines : int array;
+  cols : int array;
+  len : int;
+}
+
+(** Tokenise a whole source string in one pass.
+    @raise Lex_error on malformed input, including an integer literal
+    above [max_int]. *)
+val scan : file:string -> string -> stream
+
+(** The location of token [i]. *)
+val loc : stream -> int -> Loc.t
+
+(** {!scan} as a list of tokens with their locations. *)
 val tokenize : file:string -> string -> (token * Loc.t) list

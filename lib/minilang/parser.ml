@@ -39,21 +39,28 @@ open Lexer
 
 exception Parse_error of Loc.t * string
 
-type state = { toks : (token * Loc.t) array; mutable idx : int }
+(* The parser reads the token stream by index; a [Loc.t] is built only
+   for the AST (statement and function starts) and for errors. *)
+type state = { s : Lexer.stream; mutable idx : int }
 
-let error st msg =
-  let _, loc = st.toks.(st.idx) in
-  raise (Parse_error (loc, msg))
+let error st msg = raise (Parse_error (Lexer.loc st.s st.idx, msg))
 
-let peek st = fst st.toks.(st.idx)
+let peek st = st.s.toks.(st.idx)
 
-let loc st = snd st.toks.(st.idx)
+let loc st = Lexer.loc st.s st.idx
 
-let advance st = if st.idx < Array.length st.toks - 1 then st.idx <- st.idx + 1
+let advance st = if st.idx < st.s.len - 1 then st.idx <- st.idx + 1
+
+(* Consumes [tok] if it is next.  Callers pass constant constructors only,
+   so physical equality is exact. *)
+let accept st tok =
+  if peek st == tok then (
+    advance st;
+    true)
+  else false
 
 let eat st tok =
-  if peek st = tok then advance st
-  else
+  if not (accept st tok) then
     error st
       (Printf.sprintf "expected '%s' but found '%s'" (token_to_string tok)
          (token_to_string (peek st)))
@@ -69,76 +76,51 @@ let eat_ident st =
 (* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let rec parse_expr st = parse_or st
+(* The binary operators of each precedence level, by token. *)
+let or_op = function OROR -> Some Or | _ -> None
 
-and parse_or st =
-  let lhs = parse_and st in
-  let rec loop lhs =
-    if peek st = OROR then (
-      advance st;
-      loop (Binop (Or, lhs, parse_and st)))
-    else lhs
-  in
-  loop lhs
+let and_op = function ANDAND -> Some And | _ -> None
 
-and parse_and st =
-  let lhs = parse_cmp st in
-  let rec loop lhs =
-    if peek st = ANDAND then (
+let cmp_op = function
+  | EQEQ -> Some Eq
+  | NE -> Some Ne
+  | LT -> Some Lt
+  | LE -> Some Le
+  | GT -> Some Gt
+  | GE -> Some Ge
+  | _ -> None
+
+let add_op = function PLUS -> Some Add | MINUS -> Some Sub | _ -> None
+
+let mul_op = function
+  | STAR -> Some Mul
+  | SLASH -> Some Div
+  | PERCENT -> Some Mod
+  | _ -> None
+
+(* Folds a left-associative level: [lhs] followed by [op operand]*. *)
+let rec left_assoc st op_of operand lhs =
+  match op_of (peek st) with
+  | Some op ->
       advance st;
-      loop (Binop (And, lhs, parse_cmp st)))
-    else lhs
-  in
-  loop lhs
+      left_assoc st op_of operand (Binop (op, lhs, operand st))
+  | None -> lhs
+
+let rec parse_expr st = left_assoc st or_op parse_and (parse_and st)
+
+and parse_and st = left_assoc st and_op parse_cmp (parse_cmp st)
 
 and parse_cmp st =
   let lhs = parse_add st in
-  let op =
-    match peek st with
-    | EQEQ -> Some Eq
-    | NE -> Some Ne
-    | LT -> Some Lt
-    | LE -> Some Le
-    | GT -> Some Gt
-    | GE -> Some Ge
-    | _ -> None
-  in
-  match op with
-  | None -> lhs
+  match cmp_op (peek st) with
   | Some op ->
       advance st;
       Binop (op, lhs, parse_add st)
+  | None -> lhs
 
-and parse_add st =
-  let lhs = parse_mul st in
-  let rec loop lhs =
-    match peek st with
-    | PLUS ->
-        advance st;
-        loop (Binop (Add, lhs, parse_mul st))
-    | MINUS ->
-        advance st;
-        loop (Binop (Sub, lhs, parse_mul st))
-    | _ -> lhs
-  in
-  loop lhs
+and parse_add st = left_assoc st add_op parse_mul (parse_mul st)
 
-and parse_mul st =
-  let lhs = parse_unary st in
-  let rec loop lhs =
-    match peek st with
-    | STAR ->
-        advance st;
-        loop (Binop (Mul, lhs, parse_unary st))
-    | SLASH ->
-        advance st;
-        loop (Binop (Div, lhs, parse_unary st))
-    | PERCENT ->
-        advance st;
-        loop (Binop (Mod, lhs, parse_unary st))
-    | _ -> lhs
-  in
-  loop lhs
+and parse_mul st = left_assoc st mul_op parse_unary (parse_unary st)
 
 and parse_unary st =
   match peek st with
@@ -166,30 +148,34 @@ and parse_atom st =
       let e = parse_expr st in
       eat st RPAREN;
       e
-  | IDENT x -> (
+  | IDENT x ->
       advance st;
-      match peek st with
-      | LPAREN -> (
-          advance st;
-          eat st RPAREN;
-          match x with
-          | "rank" -> Rank
-          | "size" -> Size
-          | "omp_tid" -> Tid
-          | "omp_nthreads" -> Nthreads
-          | _ ->
-              error st
-                (Printf.sprintf
-                   "unknown intrinsic '%s' (function calls are statements)" x))
-      | _ -> Var x)
+      if accept st LPAREN then begin
+        eat st RPAREN;
+        match x with
+        | "rank" -> Rank
+        | "size" -> Size
+        | "omp_tid" -> Tid
+        | "omp_nthreads" -> Nthreads
+        | _ ->
+            error st
+              (Printf.sprintf
+                 "unknown intrinsic '%s' (function calls are statements)" x)
+      end
+      else Var x
   | t -> error st (Printf.sprintf "expected expression, found '%s'" (token_to_string t))
 
 (* ------------------------------------------------------------------ *)
 (* Collectives                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let is_collective_name name =
-  List.mem name all_collective_names
+(* Must list exactly [Ast.all_collective_names]. *)
+let is_collective_name = function
+  | "MPI_Barrier" | "MPI_Bcast" | "MPI_Reduce" | "MPI_Allreduce" | "MPI_Gather"
+  | "MPI_Scatter" | "MPI_Allgather" | "MPI_Alltoall" | "MPI_Scan"
+  | "MPI_Reduce_scatter" ->
+      true
+  | _ -> false
 
 let parse_reduce_op st =
   let name = eat_ident st in
@@ -252,7 +238,10 @@ let parse_collective st name =
   eat st RPAREN;
   c
 
-let is_request_op_name name = List.mem name all_request_op_names
+(* Must list exactly [Ast.all_request_op_names]. *)
+let is_request_op_name = function
+  | "MPI_Ibarrier" | "MPI_Iallreduce" | "MPI_Isend" | "MPI_Irecv" -> true
+  | _ -> false
 
 (** Parses the argument list of split-phase start [name]; the leading
     ['('] has not been consumed.  [MPI_Iallreduce]/[MPI_Irecv] take the
@@ -293,22 +282,20 @@ let parse_request_op st name =
 (* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
 
+let rec parse_items st item acc =
+  let acc = item st :: acc in
+  if accept st COMMA then parse_items st item acc
+  else (
+    eat st RPAREN;
+    List.rev acc)
+
+(** Parses [item ("," item)* ")"] or [")"]: a list whose ['('] has been
+    consumed. *)
+let parse_list st item = if accept st RPAREN then [] else parse_items st item []
+
 let parse_args st =
   eat st LPAREN;
-  if peek st = RPAREN then (
-    advance st;
-    [])
-  else
-    let rec loop acc =
-      let e = parse_expr st in
-      if peek st = COMMA then (
-        advance st;
-        loop (e :: acc))
-      else (
-        eat st RPAREN;
-        List.rev (e :: acc))
-    in
-    loop []
+  parse_list st parse_expr
 
 let parse_check st name =
   let int_arg () =
@@ -359,13 +346,11 @@ let is_check_name = function
 
 let rec parse_block st =
   eat st LBRACE;
-  let rec loop acc =
-    if peek st = RBRACE then (
-      advance st;
-      List.rev acc)
-    else loop (parse_stmt st :: acc)
-  in
-  loop []
+  parse_stmts st []
+
+and parse_stmts st acc =
+  if accept st RBRACE then List.rev acc
+  else parse_stmts st (parse_stmt st :: acc)
 
 and parse_stmt st =
   let sloc = loc st in
@@ -384,11 +369,7 @@ and parse_stmt st =
       let c = parse_expr st in
       eat st RPAREN;
       let bt = parse_block st in
-      let bf = if peek st = ELSE then (
-          advance st;
-          parse_block st)
-        else []
-      in
+      let bf = if accept st ELSE then parse_block st else [] in
       mk (If (c, bt, bf))
   | WHILE ->
       advance st;
@@ -512,8 +493,7 @@ and parse_pragma st sloc =
   | CRITICAL ->
       advance st;
       let name =
-        if peek st = LPAREN then (
-          advance st;
+        if accept st LPAREN then (
           let x = eat_ident st in
           eat st RPAREN;
           Some x)
@@ -532,8 +512,7 @@ and parse_pragma st sloc =
       eat st TO;
       let hi = parse_expr st in
       let reduction =
-        if peek st = REDUCTION then begin
-          advance st;
+        if accept st REDUCTION then begin
           eat st LPAREN;
           let op = parse_reduce_op st in
           eat st COLON;
@@ -549,61 +528,42 @@ and parse_pragma st sloc =
       advance st;
       let nowait = parse_nowait st in
       eat st LBRACE;
-      let rec loop acc =
-        match peek st with
-        | SECTION ->
-            advance st;
-            loop (parse_block st :: acc)
-        | RBRACE ->
-            advance st;
-            List.rev acc
-        | t ->
-            error st
-              (Printf.sprintf "expected 'section' or '}', found '%s'"
-                 (token_to_string t))
-      in
-      mk (Omp_sections { nowait; sections = loop [] })
+      mk (Omp_sections { nowait; sections = parse_sections st [] })
   | t ->
       error st
         (Printf.sprintf "unknown OpenMP directive '%s'" (token_to_string t))
 
-and parse_nowait st =
-  if peek st = NOWAIT then (
-    advance st;
-    true)
-  else false
+and parse_sections st acc =
+  match peek st with
+  | SECTION ->
+      advance st;
+      parse_sections st (parse_block st :: acc)
+  | RBRACE ->
+      advance st;
+      List.rev acc
+  | t ->
+      error st
+        (Printf.sprintf "expected 'section' or '}', found '%s'"
+           (token_to_string t))
+
+and parse_nowait st = accept st NOWAIT
 
 let parse_func st =
   let floc = loc st in
   eat st FUNC;
   let fname = eat_ident st in
   eat st LPAREN;
-  let params =
-    if peek st = RPAREN then (
-      advance st;
-      [])
-    else
-      let rec loop acc =
-        let x = eat_ident st in
-        if peek st = COMMA then (
-          advance st;
-          loop (x :: acc))
-        else (
-          eat st RPAREN;
-          List.rev (x :: acc))
-      in
-      loop []
-  in
+  let params = parse_list st eat_ident in
   { fname; params; body = parse_block st; floc }
 
 (** Parse a whole program from a string.
     @raise Parse_error or {!Lexer.Lex_error} on malformed input. *)
 let parse_string ?(file = "<string>") src =
-  let toks = Array.of_list (Lexer.tokenize ~file src) in
-  let st = { toks; idx = 0 } in
+  let st = { s = Lexer.scan ~file src; idx = 0 } in
   let rec loop acc =
-    if peek st = EOF then { funcs = List.rev acc }
-    else loop (parse_func st :: acc)
+    match peek st with
+    | EOF -> { funcs = List.rev acc }
+    | _ -> loop (parse_func st :: acc)
   in
   loop []
 

@@ -1,29 +1,28 @@
-(** Pretty-printer for the mini-language.
+(** Pretty-printer for the mini-language: one [Buffer] emitter.
 
     The output is valid surface syntax: [Parser.parse_string] of the printed
     form yields a structurally equal program (round-trip property, tested
     with qcheck).  Instrumentation checks print as [__cc_next(...)] etc.,
     which the parser also accepts, so instrumented programs can be emitted
-    and re-run. *)
+    and re-run.  The form is canonical: two-space indentation, one
+    statement per line, and no line is ever wrapped. *)
 
 open Ast
 
-let unop_str = function Neg -> "-" | Not -> "!"
-
 let binop_str = function
-  | Add -> "+"
-  | Sub -> "-"
-  | Mul -> "*"
-  | Div -> "/"
-  | Mod -> "%"
-  | Eq -> "=="
-  | Ne -> "!="
-  | Lt -> "<"
-  | Le -> "<="
-  | Gt -> ">"
-  | Ge -> ">="
-  | And -> "&&"
-  | Or -> "||"
+  | Add -> " + "
+  | Sub -> " - "
+  | Mul -> " * "
+  | Div -> " / "
+  | Mod -> " % "
+  | Eq -> " == "
+  | Ne -> " != "
+  | Lt -> " < "
+  | Le -> " <= "
+  | Gt -> " > "
+  | Ge -> " >= "
+  | And -> " && "
+  | Or -> " || "
 
 (* Precedence levels, higher binds tighter. *)
 let binop_prec = function
@@ -33,160 +32,158 @@ let binop_prec = function
   | Add | Sub -> 4
   | Mul | Div | Mod -> 5
 
-let rec pp_expr_prec prec ppf e =
-  match e with
-  | Int n -> if n < 0 then Fmt.pf ppf "(%d)" n else Fmt.int ppf n
-  | Bool b -> Fmt.bool ppf b
-  | Var x -> Fmt.string ppf x
-  | Rank -> Fmt.string ppf "rank()"
-  | Size -> Fmt.string ppf "size()"
-  | Tid -> Fmt.string ppf "omp_tid()"
-  | Nthreads -> Fmt.string ppf "omp_nthreads()"
-  | Unop (op, e) -> Fmt.pf ppf "%s%a" (unop_str op) (pp_expr_prec 6) e
-  | Binop (op, a, b) ->
+let str = Buffer.add_string
+
+(* [f] on each element of [l], with [sep] in between. *)
+let sep_by b sep f l = List.iteri (fun i x -> if i > 0 then str b sep; f x) l
+
+let rec expr_prec b prec = function
+  | Int n when n < 0 -> str b "("; str b (string_of_int n); str b ")"
+  | Int n -> str b (string_of_int n)
+  | Bool x -> str b (string_of_bool x)
+  | Var x -> str b x
+  | Rank -> str b "rank()"
+  | Size -> str b "size()"
+  | Tid -> str b "omp_tid()"
+  | Nthreads -> str b "omp_nthreads()"
+  | Unop (op, e) -> str b (match op with Neg -> "-" | Not -> "!"); expr_prec b 6 e
+  | Binop (op, l, r) ->
       let p = binop_prec op in
-      let body ppf () =
-        Fmt.pf ppf "%a %s %a" (pp_expr_prec p) a (binop_str op)
-          (pp_expr_prec (p + 1))
-          b
-      in
-      if p < prec then Fmt.pf ppf "(%a)" body () else body ppf ()
+      if p < prec then str b "(";
+      expr_prec b p l;
+      str b (binop_str op);
+      expr_prec b (p + 1) r;
+      if p < prec then str b ")"
 
-let pp_expr ppf e = pp_expr_prec 0 ppf e
+let expr b e = expr_prec b 0 e
 
-let expr_to_string e = Fmt.str "%a" pp_expr e
+(* [name(a1, a2, ...)], each [ai] an expression or printed verbatim. *)
+let call b name args =
+  str b name;
+  str b "(";
+  sep_by b ", " (function `E e -> expr b e | `V x -> str b x) args;
+  str b ")"
 
-let pp_collective ppf (target, c) =
-  let tgt ppf () =
-    match target with None -> () | Some x -> Fmt.pf ppf "%s = " x
-  in
+let call_stmt b name args = call b name args; str b ";"
+
+let collective b c =
+  let name = collective_name c and op o = `V (reduce_op_name o) in
   match c with
-  | Barrier -> Fmt.pf ppf "%aMPI_Barrier()" tgt ()
-  | Bcast { root; value } ->
-      Fmt.pf ppf "%aMPI_Bcast(%a, %a)" tgt () pp_expr value pp_expr root
-  | Reduce { op; root; value } ->
-      Fmt.pf ppf "%aMPI_Reduce(%a, %s, %a)" tgt () pp_expr value
-        (reduce_op_name op) pp_expr root
-  | Allreduce { op; value } ->
-      Fmt.pf ppf "%aMPI_Allreduce(%a, %s)" tgt () pp_expr value
-        (reduce_op_name op)
-  | Gather { root; value } ->
-      Fmt.pf ppf "%aMPI_Gather(%a, %a)" tgt () pp_expr value pp_expr root
-  | Scatter { root; value } ->
-      Fmt.pf ppf "%aMPI_Scatter(%a, %a)" tgt () pp_expr value pp_expr root
-  | Allgather { value } ->
-      Fmt.pf ppf "%aMPI_Allgather(%a)" tgt () pp_expr value
-  | Alltoall { value } -> Fmt.pf ppf "%aMPI_Alltoall(%a)" tgt () pp_expr value
-  | Scan { op; value } ->
-      Fmt.pf ppf "%aMPI_Scan(%a, %s)" tgt () pp_expr value (reduce_op_name op)
-  | Reduce_scatter { op; value } ->
-      Fmt.pf ppf "%aMPI_Reduce_scatter(%a, %s)" tgt () pp_expr value
-        (reduce_op_name op)
+  | Barrier -> call b name []
+  | Bcast { root; value } | Gather { root; value } | Scatter { root; value } ->
+      call b name [ `E value; `E root ]
+  | Reduce { op = o; root; value } -> call b name [ `E value; op o; `E root ]
+  | Allreduce { op = o; value } | Scan { op = o; value }
+  | Reduce_scatter { op = o; value } ->
+      call b name [ `E value; op o ]
+  | Allgather { value } | Alltoall { value } -> call b name [ `E value ]
 
-let pp_request_op ppf (req, rop) =
+let request_op b rop =
+  let name = request_op_name rop in
   match rop with
-  | Ibarrier -> Fmt.pf ppf "%s = MPI_Ibarrier()" req
+  | Ibarrier -> call b name []
   | Iallreduce { op; target; value } ->
-      Fmt.pf ppf "%s = MPI_Iallreduce(%s, %a, %s)" req target pp_expr value
-        (reduce_op_name op)
-  | Isend { value; dest; tag } ->
-      Fmt.pf ppf "%s = MPI_Isend(%a, %a, %a)" req pp_expr value pp_expr dest
-        pp_expr tag
-  | Irecv { target; src; tag } ->
-      Fmt.pf ppf "%s = MPI_Irecv(%s, %a, %a)" req target pp_expr src pp_expr
-        tag
+      call b name [ `V target; `E value; `V (reduce_op_name op) ]
+  | Isend { value; dest; tag } -> call b name [ `E value; `E dest; `E tag ]
+  | Irecv { target; src; tag } -> call b name [ `V target; `E src; `E tag ]
 
-let pp_check ppf = function
+let check b c =
+  let int n = `V (string_of_int n) in
+  match c with
   | Cc_next_collective { color; coll_name } ->
-      Fmt.pf ppf "__cc_next(%d, \"%s\")" color coll_name
-  | Cc_return -> Fmt.string ppf "__cc_return()"
-  | Assert_monothread { region } ->
-      Fmt.pf ppf "__assert_monothread(%d)" region
-  | Count_enter { region } -> Fmt.pf ppf "__count_enter(%d)" region
-  | Count_exit { region } -> Fmt.pf ppf "__count_exit(%d)" region
+      call b "__cc_next" [ int color; `V ("\"" ^ coll_name ^ "\"") ]
+  | Cc_return -> call b "__cc_return" []
+  | Assert_monothread { region } -> call b "__assert_monothread" [ int region ]
+  | Count_enter { region } -> call b "__count_enter" [ int region ]
+  | Count_exit { region } -> call b "__count_exit" [ int region ]
 
-let indent n ppf () = Fmt.string ppf (String.make (2 * n) ' ')
+let indent b n = for _ = 1 to n do str b "  " done
 
-let rec pp_stmt n ppf s =
-  let ind = indent n in
+let assign b x = str b x; str b " = "
+
+let rec stmt b n s =
+  indent b n;
   match s.sdesc with
-  | Decl (x, e) -> Fmt.pf ppf "%avar %s = %a;" ind () x pp_expr e
-  | Assign (x, e) -> Fmt.pf ppf "%a%s = %a;" ind () x pp_expr e
-  | If (c, bt, []) ->
-      Fmt.pf ppf "%aif (%a) %a" ind () pp_expr c (pp_block n) bt
+  | Decl (x, e) -> str b "var "; assign b x; expr b e; str b ";"
+  | Assign (x, e) -> assign b x; expr b e; str b ";"
   | If (c, bt, bf) ->
-      Fmt.pf ppf "%aif (%a) %a else %a" ind () pp_expr c (pp_block n) bt
-        (pp_block n) bf
-  | While (c, b) -> Fmt.pf ppf "%awhile (%a) %a" ind () pp_expr c (pp_block n) b
-  | For (x, lo, hi, b) ->
-      Fmt.pf ppf "%afor %s = %a to %a %a" ind () x pp_expr lo pp_expr hi
-        (pp_block n) b
-  | Return -> Fmt.pf ppf "%areturn;" ind ()
-  | Call (f, args) ->
-      Fmt.pf ppf "%a%s(%a);" ind () f (Fmt.list ~sep:Fmt.comma pp_expr) args
-  | Compute e -> Fmt.pf ppf "%acompute(%a);" ind () pp_expr e
-  | Print e -> Fmt.pf ppf "%aprint(%a);" ind () pp_expr e
-  | Coll (tgt, c) -> Fmt.pf ppf "%a%a;" ind () pp_collective (tgt, c)
-  | Send { value; dest; tag } ->
-      Fmt.pf ppf "%aMPI_Send(%a, %a, %a);" ind () pp_expr value pp_expr dest
-        pp_expr tag
-  | Recv { target; src; tag } ->
-      Fmt.pf ppf "%a%s = MPI_Recv(%a, %a);" ind () target pp_expr src pp_expr tag
-  | Istart { req; rop } -> Fmt.pf ppf "%a%a;" ind () pp_request_op (req, rop)
-  | Wait { req } -> Fmt.pf ppf "%aMPI_Wait(%s);" ind () req
-  | Test { target; req } -> Fmt.pf ppf "%a%s = MPI_Test(%s);" ind () target req
+      str b "if ("; expr b c; str b ") "; block b n bt;
+      if bf <> [] then (str b " else "; block b n bf)
+  | While (c, body) -> str b "while ("; expr b c; str b ") "; block b n body
+  | For (x, lo, hi, body) ->
+      str b "for "; for_header b x lo hi; str b " "; block b n body
+  | Return -> str b "return;"
+  | Call (f, args) -> call_stmt b f (List.map (fun e -> `E e) args)
+  | Compute e -> call_stmt b "compute" [ `E e ]
+  | Print e -> call_stmt b "print" [ `E e ]
+  | Coll (tgt, c) -> Option.iter (assign b) tgt; collective b c; str b ";"
+  | Send { value; dest; tag } -> call_stmt b "MPI_Send" [ `E value; `E dest; `E tag ]
+  | Recv { target; src; tag } -> assign b target; call_stmt b "MPI_Recv" [ `E src; `E tag ]
+  | Istart { req; rop } -> assign b req; request_op b rop; str b ";"
+  | Wait { req } -> call_stmt b "MPI_Wait" [ `V req ]
+  | Test { target; req } -> assign b target; call_stmt b "MPI_Test" [ `V req ]
   | Omp_parallel { num_threads; body } ->
-      let nt ppf () =
-        match num_threads with
-        | None -> ()
-        | Some e -> Fmt.pf ppf " num_threads(%a)" pp_expr e
-      in
-      Fmt.pf ppf "%apragma omp parallel%a %a" ind () nt () (pp_block n) body
+      str b "pragma omp parallel";
+      Option.iter (fun e -> call b " num_threads" [ `E e ]) num_threads;
+      str b " ";
+      block b n body
   | Omp_single { nowait; body } ->
-      Fmt.pf ppf "%apragma omp single%s %a" ind ()
-        (if nowait then " nowait" else "")
-        (pp_block n) body
-  | Omp_master body -> Fmt.pf ppf "%apragma omp master %a" ind () (pp_block n) body
+      str b "pragma omp single"; directive_body b n nowait body
+  | Omp_master body -> str b "pragma omp master "; block b n body
   | Omp_critical (name, body) ->
-      let nm ppf () =
-        match name with None -> () | Some x -> Fmt.pf ppf "(%s)" x
-      in
-      Fmt.pf ppf "%apragma omp critical%a %a" ind () nm () (pp_block n) body
-  | Omp_barrier -> Fmt.pf ppf "%apragma omp barrier;" ind ()
+      str b "pragma omp critical";
+      Option.iter (fun x -> str b "("; str b x; str b ")") name;
+      str b " ";
+      block b n body
+  | Omp_barrier -> str b "pragma omp barrier;"
   | Omp_for { var; lo; hi; nowait; reduction; body } ->
-      let red ppf () =
-        match reduction with
-        | None -> ()
-        | Some (op, x) -> Fmt.pf ppf " reduction(%s: %s)" (reduce_op_name op) x
-      in
-      Fmt.pf ppf "%apragma omp for %s = %a to %a%a%s %a" ind () var pp_expr lo
-        pp_expr hi red ()
-        (if nowait then " nowait" else "")
-        (pp_block n) body
+      str b "pragma omp for ";
+      for_header b var lo hi;
+      Option.iter
+        (fun (op, x) ->
+          str b " reduction("; str b (reduce_op_name op); str b ": "; str b x; str b ")")
+        reduction;
+      directive_body b n nowait body
   | Omp_sections { nowait; sections } ->
-      Fmt.pf ppf "%apragma omp sections%s {@\n%a@\n%a}" ind ()
-        (if nowait then " nowait" else "")
-        (Fmt.list ~sep:(Fmt.any "@\n") (fun ppf b ->
-             Fmt.pf ppf "%asection %a" (indent (n + 1)) () (pp_block (n + 1)) b))
-        sections ind ()
-  | Check c -> Fmt.pf ppf "%a%a;" ind () pp_check c
+      str b "pragma omp sections";
+      if nowait then str b " nowait";
+      str b " {\n";
+      sep_by b "\n"
+        (fun sec -> indent b (n + 1); str b "section "; block b (n + 1) sec)
+        sections;
+      str b "\n";
+      indent b n;
+      str b "}"
+  | Check c -> check b c; str b ";"
 
-and pp_block n ppf block =
-  match block with
-  | [] -> Fmt.string ppf "{ }"
-  | _ ->
-      Fmt.pf ppf "{@\n%a@\n%a}"
-        (Fmt.list ~sep:(Fmt.any "@\n") (pp_stmt (n + 1)))
-        block (indent n) ()
+and for_header b x lo hi = assign b x; expr b lo; str b " to "; expr b hi
 
-let pp_func ppf f =
-  Fmt.pf ppf "func %s(%a) %a" f.fname
-    (Fmt.list ~sep:Fmt.comma Fmt.string)
-    f.params (pp_block 0) f.body
+and directive_body b n nowait body =
+  if nowait then str b " nowait";
+  str b " ";
+  block b n body
 
-let pp_program ppf p =
-  Fmt.pf ppf "%a@\n" (Fmt.list ~sep:(Fmt.any "@\n@\n") pp_func) p.funcs
+and block b n = function
+  | [] -> str b "{ }"
+  | stmts ->
+      str b "{\n";
+      List.iter (fun s -> stmt b (n + 1) s; str b "\n") stmts;
+      indent b n;
+      str b "}"
 
-let program_to_string p = Fmt.str "%a" pp_program p
+let to_string size emit x =
+  let b = Buffer.create size in
+  emit b x;
+  Buffer.contents b
 
-let stmt_to_string s = Fmt.str "%a" (pp_stmt 0) s
+let program_to_string p =
+  let func b f =
+    call b ("func " ^ f.fname) (List.map (fun x -> `V x) f.params);
+    str b " ";
+    block b 0 f.body
+  in
+  to_string 4096 (fun b p -> sep_by b "\n\n" (func b) p.funcs; str b "\n") p
+
+let expr_to_string e = to_string 64 expr e
+
+let pp_check ppf c = Fmt.string ppf (to_string 64 check c)

@@ -40,6 +40,15 @@ let errors issues = List.filter (fun i -> i.severity = Error) issues
 
 let is_valid issues = errors issues = []
 
+let syntax_errors parse =
+  let error loc what msg =
+    Stdlib.Error { severity = Error; loc; message = what ^ msg }
+  in
+  match parse () with
+  | x -> Ok x
+  | exception Parser.Parse_error (loc, msg) -> error loc "parse error: " msg
+  | exception Lexer.Lex_error (loc, msg) -> error loc "lex error: " msg
+
 (* Context tracked while walking a function body. *)
 type ctx = {
   in_parallel : int;  (* nesting depth of parallel regions *)

@@ -16,6 +16,12 @@ val errors : issue list -> issue list
 
 val is_valid : issue list -> bool
 
+(** [syntax_errors parse] runs [parse] (a front-end step such as
+    {!Parser.parse_file}) and returns a {!Parser.Parse_error} or
+    {!Lexer.Lex_error} as its [Error] issue, whose message starts with
+    ["parse error: "] or ["lex error: "]. *)
+val syntax_errors : (unit -> 'a) -> ('a, issue) result
+
 (** All issues of a program, in source order. *)
 val check_program : Ast.program -> issue list
 

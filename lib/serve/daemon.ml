@@ -148,18 +148,12 @@ let parse_cached t tm ~file source =
       Mutex.unlock t.ast_lock;
       result
 
-let issue_of_loc_error loc message =
-  { Validate.severity = Validate.Error; loc; message }
-
 let analyze_source t ?(options = Parcoach.Driver.default_options) ?jobs
     ?(file = "<request>") source =
   let tm = Parcoach.Timings.create () in
-  match parse_cached t tm ~file source with
-  | exception Parser.Parse_error (loc, msg) ->
-      Error [ issue_of_loc_error loc ("parse error: " ^ msg) ]
-  | exception Lexer.Lex_error (loc, msg) ->
-      Error [ issue_of_loc_error loc ("lex error: " ^ msg) ]
-  | program, memo -> (
+  match Validate.syntax_errors (fun () -> parse_cached t tm ~file source) with
+  | Error issue -> Error [ issue ]
+  | Ok (program, memo) -> (
       let issues =
         Parcoach.Timings.record tm "validate" (fun () ->
             Validate.check_program program)

@@ -72,6 +72,92 @@ let lexer_tests =
         | _ -> Alcotest.fail "expected a lex error");
   ]
 
+(* The front end's contract: token kinds and locations, error
+   locations, and the printer's canonical one-statement-per-line form. *)
+
+let lex_error_at src =
+  match Parser.parse_string ~file:"t" src with
+  | exception Lexer.Lex_error (l, msg) -> (l.Loc.line, l.Loc.col, msg)
+  | exception Parser.Parse_error (_, msg) ->
+      Alcotest.failf "expected a lex error, got parse error %s" msg
+  | _ -> Alcotest.fail "expected a lex error"
+
+let contract_tests =
+  [
+    Alcotest.test_case "tokens and locations across layout" `Quick (fun () ->
+        let src =
+          "func\tmain() {\r\n  /* a\n  b */ __cc_next(1, \"x\ny\");\r\n\
+           #pragma omp barrier;\n} // end"
+        in
+        let got =
+          List.map
+            (fun (t, l) -> (Lexer.token_to_string t, l.Loc.line, l.Loc.col))
+            (Lexer.tokenize ~file:"t" src)
+        in
+        Alcotest.(check (list (triple string int int)))
+          "tokens"
+          [
+            ("func", 1, 1); ("main", 1, 6); ("(", 1, 10); (")", 1, 11);
+            ("{", 1, 13); ("__cc_next", 3, 8); ("(", 3, 17); ("1", 3, 18);
+            (",", 3, 19); ("\"x\\ny\"", 3, 21); (")", 4, 3); (";", 4, 4);
+            ("pragma", 5, 2); ("omp", 5, 9); ("barrier", 5, 13); (";", 5, 20);
+            ("}", 6, 1); ("<eof>", 6, 9);
+          ]
+          got);
+    Alcotest.test_case "line comment at end of input" `Quick (fun () ->
+        match Lexer.tokenize ~file:"t" "x // no newline" with
+        | [ (Lexer.IDENT "x", _); (Lexer.EOF, l) ] ->
+            Alcotest.(check int) "eof column" 16 l.Loc.col
+        | _ -> Alcotest.fail "unexpected tokens");
+    Alcotest.test_case "integer literals up to max_int" `Quick (fun () ->
+        let big = string_of_int max_int in
+        (match Lexer.tokenize ~file:"t" big with
+        | [ (Lexer.INT n, _); (Lexer.EOF, _) ] ->
+            Alcotest.(check int) "max_int" max_int n
+        | _ -> Alcotest.fail "unexpected tokens");
+        let line, col, msg =
+          lex_error_at
+            (Printf.sprintf "func main() {\n  var x = %s0;\n}" big)
+        in
+        Alcotest.(check (pair int int)) "located" (2, 11) (line, col);
+        Alcotest.(check bool) "message" true
+          (String.starts_with ~prefix:("integer literal " ^ big ^ "0 is out of range") msg));
+    Alcotest.test_case "a lex error wins over an earlier parse error" `Quick
+      (fun () ->
+        let line, col, msg =
+          lex_error_at "func main() { var x = ; }\nfunc f() { $ }"
+        in
+        Alcotest.(check (pair int int)) "located" (2, 12) (line, col);
+        Alcotest.(check string) "message" "unexpected character '$'" msg);
+    Alcotest.test_case "unterminated string is located at its quote" `Quick
+      (fun () ->
+        let line, col, _ = lex_error_at "func main() {\n  print(\"abc\n" in
+        Alcotest.(check (pair int int)) "located" (2, 9) (line, col));
+    Alcotest.test_case "collective and request names need arguments" `Quick
+      (fun () ->
+        List.iter
+          (fun name ->
+            match parse ("func main() { x = " ^ name ^ "; }") with
+            | exception Parser.Parse_error (_, msg) ->
+                Alcotest.(check string) name "expected '(' but found ';'" msg
+            | _ -> Alcotest.failf "%s parsed as a variable" name)
+          (Ast.all_collective_names @ Ast.all_request_op_names));
+    Alcotest.test_case "a long argument list at depth stays on one line" `Quick
+      (fun () ->
+        let args =
+          List.init 6 (fun i -> Printf.sprintf "argument_number_%d * size()" i)
+        in
+        let call = "package_23(" ^ String.concat ", " args ^ ");" in
+        let src =
+          "func main() { if (true) { while (false) { for i = 0 to 1 { "
+          ^ call ^ " } } } }"
+        in
+        let printed = Pretty.program_to_string (parse src) in
+        let line = String.make 8 ' ' ^ call in
+        if not (List.mem line (String.split_on_char '\n' printed)) then
+          Alcotest.failf "call was wrapped:@\n%s" printed);
+  ]
+
 let parser_tests =
   [
     parse_ok "empty main" "func main() { }";
@@ -331,6 +417,7 @@ let helper_tests =
 let suite =
   [
     ("minilang.lexer", lexer_tests);
+    ("minilang.contract", contract_tests);
     ("minilang.parser", parser_tests);
     ("minilang.roundtrip", roundtrip_tests);
     ("minilang.validate", validator_tests);

@@ -476,6 +476,50 @@ let test_daemon_protocol_errors () =
   check_error "unknown warning class in only"
     {|{"id":1,"method":"analyze","params":{"source":"func main() { }","only":"no-such-class"}}|}
 
+(* An integer literal above [max_int] is a syntax error located at the
+   literal, reported like any other: a valid response with one issue. *)
+let test_daemon_oversized_literal () =
+  let daemon = Serve.Daemon.create () in
+  let line =
+    Serve.Json.to_string
+      (Serve.Json.Obj
+         [
+           ("id", Serve.Json.Int 7);
+           ("method", Serve.Json.Str "analyze");
+           ( "params",
+             Serve.Json.Obj
+               [
+                 ( "source",
+                   Serve.Json.Str
+                     "func main() {\n  var x = 99999999999999999999;\n}\n" );
+                 ("file", Serve.Json.Str "big.hml");
+               ] );
+         ])
+  in
+  match Serve.Json.parse (Serve.Daemon.handle_line daemon line) with
+  | Error msg -> Alcotest.failf "unparsable response: %s" msg
+  | Ok v -> (
+      let field name conv = Option.bind (Serve.Json.member name v) conv in
+      Alcotest.(check (option bool)) "ok" (Some true) (field "ok" Serve.Json.to_bool);
+      Alcotest.(check (option bool)) "valid" (Some false)
+        (field "valid" Serve.Json.to_bool);
+      match Serve.Json.member "issues" v with
+      | Some (Serve.Json.List [ issue ]) ->
+          let get name conv = Option.bind (Serve.Json.member name issue) conv in
+          let loc name =
+            Option.bind (Serve.Json.member "loc" issue) (fun l ->
+                Option.bind (Serve.Json.member name l) Serve.Json.to_int)
+          in
+          Alcotest.(check (option int)) "line" (Some 2) (loc "line");
+          Alcotest.(check (option int)) "col" (Some 11) (loc "col");
+          Alcotest.(check bool) "lex error message" true
+            (match get "message" Serve.Json.to_str with
+            | Some m ->
+                String.starts_with
+                  ~prefix:"lex error: integer literal 99999999999999999999" m
+            | None -> false)
+      | _ -> Alcotest.fail "expected exactly one issue")
+
 (* The requests pass and the warning-class filter, shared with
    [parcoachc --requests] / [--only]. *)
 let test_daemon_only_filter () =
@@ -639,6 +683,8 @@ let suite =
           test_daemon_only_filter;
         Alcotest.test_case "daemon protocol errors" `Quick
           test_daemon_protocol_errors;
+        Alcotest.test_case "daemon locates an oversized literal" `Quick
+          test_daemon_oversized_literal;
         Alcotest.test_case "Driver.analyze reuse identity" `Quick
           test_driver_reuse_identity;
         Alcotest.test_case "promise" `Quick test_promise;
