@@ -1038,9 +1038,9 @@ let explore_perf_section () =
     (fun (jobs, _, _, oversubscribed) ->
       if oversubscribed then
         Fmt.pr
-          "warning: jobs:%d exceeds the %d available core(s); its timing \
-           measures domain overhead, not scaling@."
-          jobs cores)
+          "warning: jobs:%d exceeds the %d available core(s); the fan-out \
+           runs it on %d domain(s), so it is not a scaling measurement@."
+          jobs cores cores)
     results;
   let json =
     Printf.sprintf
@@ -1329,15 +1329,16 @@ let scaling_section () =
       Fmt.pr "%-8d | %14.0f | %7.2fx | %s@." jobs t (t1 /. t)
         (if jobs > cores then "oversubscribed" else ""))
     times;
-  (* An honest speedup needs jobs <= cores: beyond that the domains
-     time-share and the ratio measures scheduler overhead, not scaling. *)
+  (* An honest speedup needs jobs <= cores: beyond that the fan-out
+     clamps the width to the cores, so the row repeats a smaller one. *)
   List.iter
     (fun (jobs, _) ->
       if jobs > cores then
         Fmt.pr
-          "warning: jobs:%d exceeds the %d available core(s); its speedup \
-           figure is not a scaling measurement@."
-          jobs cores)
+          "warning: jobs:%d exceeds the %d available core(s); the fan-out \
+           runs it on %d domain(s), so its speedup figure is not a scaling \
+           measurement@."
+          jobs cores cores)
     times;
   let json =
     Printf.sprintf

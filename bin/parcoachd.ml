@@ -70,9 +70,9 @@ let pool =
     & info [ "pool" ] ~docv:"N"
         ~doc:
           "Handle up to $(docv) requests concurrently on a worker pool of \
-           OCaml domains.  Responses are written line-atomically and \
-           correlated by request id; each response is identical whatever \
-           the pool width.")
+           OCaml domains (at most one per core).  Responses are written \
+           line-atomically and correlated by request id; each response is \
+           identical whatever the pool width.")
 
 let jobs =
   Arg.(

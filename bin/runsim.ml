@@ -28,7 +28,7 @@ let read_program file bench =
 
 let run file bench ranks threads seed round_robin max_steps instrument jobs
     inject show_trace must_check overlay overlay_fanout level explore
-    explore_mode branch_depth budget explore_jobs interp =
+    explore_mode branch_depth budget interp =
   let program =
     match Minilang.Validate.syntax_errors (fun () -> read_program file bench) with
     | Ok program -> program
@@ -73,18 +73,14 @@ let run file bench ranks threads seed round_robin max_steps instrument jobs
     }
   in
   if explore then begin
-    if explore_jobs < 1 then begin
-      Fmt.epr "--explore-jobs must be at least 1 (got %d)@." explore_jobs;
-      exit 2
-    end;
     let summary =
       match explore_mode with
       | `Bfs ->
-          Interp.Explore.outcomes ~branch_depth ~budget ~jobs:explore_jobs
-            ~interp ~config program
+          Interp.Explore.outcomes ~branch_depth ~budget ?jobs ~interp ~config
+            program
       | `Dpor ->
-          Interp.Explore.outcomes_dpor ~branch_depth ~budget
-            ~jobs:explore_jobs ~config program
+          Interp.Explore.outcomes_dpor ~branch_depth ~budget ?jobs ~config
+            program
       | `Reference ->
           Interp.Explore.outcomes_reference ~branch_depth ~budget ~config
             program
@@ -230,9 +226,11 @@ let jobs =
     & opt (some int) None
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "With $(b,--instrument): analyse up to $(docv) functions in \
-           parallel (OCaml domains). Without it, functions are analysed \
-           one after another on a single domain.")
+          "Use up to $(docv) OCaml domains (at most one per core): with \
+           $(b,--instrument) to analyse functions in parallel, with \
+           $(b,--explore) to replay each exploration wave in parallel. \
+           Without it everything runs on a single domain.  Reports and \
+           summaries are identical whatever $(docv) is.")
 
 let inject =
   let bug_conv =
@@ -335,7 +333,7 @@ let explore_mode =
            state-fingerprint pruning; 'dpor' explores one representative \
            schedule per Mazurkiewicz trace with dynamic partial-order \
            reduction; 'reference' is the unpruned brute-force baseline \
-           (ignores --explore-jobs and --interp).")
+           (ignores --jobs and --interp).")
 
 let branch_depth =
   Arg.(
@@ -350,15 +348,6 @@ let budget =
         ~doc:
           "With $(b,--explore): replay at most $(docv) schedules (pruned \
            subtrees are credited without replaying).")
-
-let explore_jobs =
-  Arg.(
-    value & opt int 1
-    & info [ "explore-jobs" ] ~docv:"N"
-        ~doc:
-          "With $(b,--explore): replay each exploration wave on up to \
-           $(docv) OCaml domains; the summary is identical whatever \
-           $(docv) is.")
 
 let interp =
   let cv =
@@ -390,6 +379,6 @@ let cmd =
       const run $ file $ bench $ ranks $ threads $ seed $ round_robin
       $ max_steps $ instrument $ jobs $ inject $ show_trace $ must_check
       $ overlay $ overlay_fanout $ level $ explore $ explore_mode
-      $ branch_depth $ budget $ explore_jobs $ interp)
+      $ branch_depth $ budget $ interp)
 
 let () = exit (Cmd.eval cmd)

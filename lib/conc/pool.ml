@@ -1,4 +1,5 @@
-(** Promise/stream worker pool over OCaml 5 domains (see the interface). *)
+(** Promise/stream worker pool over OCaml 5 domains and the fan-out built
+    on it (see the interface). *)
 
 module Promise = struct
   type 'a state = Pending | Done of 'a | Failed of exn
@@ -77,52 +78,6 @@ module Stream = struct
     Queue.push v t.queue;
     Condition.signal t.nonempty;
     Mutex.unlock t.mutex
-
-  let push_array t arr pos len =
-    let stop = pos + len in
-    let i = ref pos in
-    Mutex.lock t.mutex;
-    while !i < stop do
-      while Queue.length t.queue >= t.capacity && not t.closed do
-        Condition.wait t.nonfull t.mutex
-      done;
-      if t.closed then begin
-        Mutex.unlock t.mutex;
-        invalid_arg "Stream.push_array: stream is closed"
-      end;
-      let room = t.capacity - Queue.length t.queue in
-      let n = min room (stop - !i) in
-      for k = !i to !i + n - 1 do
-        Queue.push arr.(k) t.queue
-      done;
-      i := !i + n;
-      Condition.signal t.nonempty
-    done;
-    Mutex.unlock t.mutex
-
-  let try_pop t =
-    Mutex.lock t.mutex;
-    let v = Queue.take_opt t.queue in
-    if v <> None then Condition.signal t.nonfull;
-    Mutex.unlock t.mutex;
-    v
-
-  let pop_upto t ~max:m ~f =
-    Mutex.lock t.mutex;
-    let n = ref 0 in
-    while !n < m && not (Queue.is_empty t.queue) do
-      f (Queue.pop t.queue);
-      incr n
-    done;
-    if !n > 0 then Condition.broadcast t.nonfull;
-    Mutex.unlock t.mutex;
-    !n
-
-  let is_closed t =
-    Mutex.lock t.mutex;
-    let c = t.closed in
-    Mutex.unlock t.mutex;
-    c
 
   let pop t =
     Mutex.lock t.mutex;
@@ -306,7 +261,6 @@ end
 type t = {
   stream : (unit -> unit) Stream.t;
   workers : unit Domain.t array;
-  njobs : int;
   shut : Mutex.t;
   mutable down : bool;
 }
@@ -321,21 +275,15 @@ let worker stream () =
   in
   loop ()
 
-let create ?queue_capacity ~jobs () =
+let create ~jobs () =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
-  let capacity =
-    match queue_capacity with Some c -> c | None -> max 64 (jobs * 4)
-  in
-  let stream = Stream.create capacity in
+  let stream = Stream.create (max 64 (jobs * 4)) in
   {
     stream;
     workers = Array.init jobs (fun _ -> Domain.spawn (worker stream));
-    njobs = jobs;
     shut = Mutex.create ();
     down = false;
   }
-
-let jobs t = t.njobs
 
 let submit t f =
   let p = Promise.create () in
@@ -344,8 +292,6 @@ let submit t f =
       | v -> Promise.resolve p v
       | exception e -> Promise.reject p e);
   p
-
-let run t f = Promise.await (submit t f)
 
 let shutdown t =
   Mutex.lock t.shut;
@@ -356,3 +302,65 @@ let shutdown t =
     Stream.close t.stream;
     Array.iter Domain.join t.workers
   end
+
+(* Read once: the call is a system call, and the explorer asks for the
+   width once per wave. *)
+let cores = Domain.recommended_domain_count ()
+
+let width ~jobs n =
+  if jobs < 1 then invalid_arg "Pool.width: jobs must be >= 1";
+  max 1 (min jobs (min n cores))
+
+(* A pool of [helpers] domains for the duration of [f]. *)
+let scoped ~helpers f =
+  let pool = create ~jobs:helpers () in
+  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
+
+let with_pool ~jobs f =
+  let helpers = width ~jobs max_int - 1 in
+  if helpers < 1 then f None else scoped ~helpers (fun pool -> f (Some pool))
+
+(* Workers 1 .. width-1 are jobs on [pool]; the caller is worker 0.  An
+   item's exception is caught where it is raised, so every job resolves
+   normally and [failure] keeps the lowest failing index: indices are
+   claimed in increasing order, so every index below a failing one was
+   claimed before it and runs to the end. *)
+let fan_out pool ~width n f =
+  let next = Atomic.make 0 in
+  let failure = Atomic.make None in
+  let rec record i e bt =
+    match Atomic.get failure with
+    | Some (j, _, _) when j < i -> ()
+    | cur ->
+        if not (Atomic.compare_and_set failure cur (Some (i, e, bt))) then
+          record i e bt
+  in
+  let rec run ~worker =
+    if Option.is_none (Atomic.get failure) then begin
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        (try f ~worker i
+         with e -> record i e (Printexc.get_raw_backtrace ()));
+        run ~worker
+      end
+    end
+  in
+  let helpers =
+    List.init (width - 1) (fun k -> submit pool (fun () -> run ~worker:(k + 1)))
+  in
+  run ~worker:0;
+  List.iter Promise.await helpers;
+  match Atomic.get failure with
+  | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ()
+
+let parallel_for ?pool ~jobs n f =
+  let width = width ~jobs n in
+  if width <= 1 then
+    for i = 0 to n - 1 do
+      f ~worker:0 i
+    done
+  else
+    match pool with
+    | Some pool -> fan_out pool ~width n f
+    | None -> scoped ~helpers:(width - 1) (fun pool -> fan_out pool ~width n f)

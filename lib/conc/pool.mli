@@ -1,10 +1,9 @@
-(** Bounded worker pool of OCaml 5 domains, in the direct style of eio's
-    concurrency primitives: a write-once {!Promise} for results, a
-    bounded blocking {!Stream} as the work queue, and a fixed set of
-    worker domains draining it.  The daemon submits one job per request;
-    [jobs:1] still runs requests off the calling thread but one at a
-    time, so responses are deterministic per request whatever the pool
-    width. *)
+(** The one domain substrate: a bounded worker pool of OCaml 5 domains,
+    in the direct style of eio's concurrency primitives (a write-once
+    {!Promise} for results, a bounded blocking {!Stream} as the work
+    queue, a fixed set of worker domains draining it), and
+    {!parallel_for}, the fan-out every parallel path runs on.  No other
+    module spawns a domain. *)
 
 module Promise : sig
   type 'a t
@@ -32,28 +31,8 @@ module Stream : sig
   (** @raise Invalid_argument if the stream is closed. *)
   val push : 'a t -> 'a -> unit
 
-  (** [push_array t arr pos len]: blocking bulk push of
-      [arr.(pos .. pos+len-1)] in order, holding the lock once per
-      capacity refill instead of once per element.  Blocks (in chunks)
-      while the stream is full, exactly like repeated {!push}.
-      @raise Invalid_argument if the stream is closed. *)
-  val push_array : 'a t -> 'a array -> int -> int -> unit
-
   (** Blocking pop; [None] once the stream is closed and drained. *)
   val pop : 'a t -> 'a option
-
-  (** Non-blocking pop: [None] when the queue is currently empty
-      (whether or not the stream is closed) — batch consumers drain what
-      is available and fall back to {!pop} to wait or detect closure. *)
-  val try_pop : 'a t -> 'a option
-
-  (** Non-blocking bulk drain under a single lock acquisition: pop up to
-      [max] queued elements, calling [f] on each in FIFO order, and
-      return how many were popped.  [f] runs with the stream's lock held,
-      so it must be fast and must not raise or touch the stream. *)
-  val pop_upto : 'a t -> max:int -> f:('a -> unit) -> int
-
-  val is_closed : 'a t -> bool
 
   (** Close: pushes fail, pops drain the backlog then return [None]. *)
   val close : 'a t -> unit
@@ -126,18 +105,41 @@ end
 
 type t
 
-(** [create ~jobs ()] spawns [jobs] worker domains ([jobs >= 1]). *)
-val create : ?queue_capacity:int -> jobs:int -> unit -> t
-
-val jobs : t -> int
+(** [create ~jobs ()] spawns [jobs] worker domains ([jobs >= 1]).  The
+    width is taken as given: a pool whose jobs wait on each other needs
+    all of them. *)
+val create : jobs:int -> unit -> t
 
 (** Enqueue a job; the promise resolves with its result (or exception)
     once a worker has run it. *)
 val submit : t -> (unit -> 'a) -> 'a Promise.t
 
-(** Run [f] on the pool and block for its result. *)
-val run : t -> (unit -> 'a) -> 'a
-
 (** Drain the queue, stop the workers and join their domains.
     Idempotent. *)
 val shutdown : t -> unit
+
+(** [width ~jobs n] is the number of domains {!parallel_for} runs [n]
+    items on: [min jobs n (Domain.recommended_domain_count ())] (the
+    core count is read once, at start-up), and at least 1.  More domains than cores or items only adds spawn and
+    scheduling cost. *)
+val width : jobs:int -> int -> int
+
+(** [with_pool ~jobs f] runs [f] with a pool of [width ~jobs max_int - 1]
+    helper domains for {!parallel_for} (the caller is worker 0), or with
+    [None] when that width is 1, and shuts the pool down when [f]
+    returns or raises.  Callers that fan out many times (the explorer's
+    waves) pay for the domains once. *)
+val with_pool : jobs:int -> (t option -> 'a) -> 'a
+
+(** [parallel_for ?pool ~jobs n f] runs [f ~worker i] for every
+    [0 <= i < n] on [width ~jobs n] domains and returns when all have
+    run.  The calling domain is worker 0; the others are jobs on [pool]
+    (or on a pool created and shut down for this call).  Indices are
+    claimed from an atomic counter.  Each [worker] index belongs to one
+    domain at a time, so [f] may use a per-worker resource without
+    locking.  Once an item raises, no further index is claimed; the
+    failure with the lowest index is re-raised with its backtrace after
+    every domain has stopped — the exception a sequential loop would
+    raise.  With width 1 the loop runs inline: no pool, no domain. *)
+val parallel_for :
+  ?pool:t -> jobs:int -> int -> (worker:int -> int -> unit) -> unit

@@ -138,48 +138,6 @@ let analyze_func ?graph ?call_collects ?timings options (f : Ast.func) =
     cc_sites = Interproc.cc_sites phase3;
   }
 
-(** Per-function analysis fan-out over OCaml 5 domains.
-
-    The work items are independent: each function is analysed against its
-    own graph and context; the only shared inputs are the AST and the
-    [call_collects] closure, whose callgraph table is fully built before
-    any domain starts and only read afterwards.  An atomic counter hands
-    out indices; each worker writes its result into a dedicated slot, so
-    the merged list is in source order regardless of scheduling — reports
-    are byte-identical to the sequential path. *)
-let run_parallel ~jobs nitems work =
-  let results = Array.make nitems None in
-  let next = Atomic.make 0 in
-  let failure = Atomic.make None in
-  let worker () =
-    let continue = ref true in
-    while !continue do
-      let i = Atomic.fetch_and_add next 1 in
-      if i >= nitems || Atomic.get failure <> None then continue := false
-      else
-        match work i with
-        | r -> results.(i) <- Some r
-        | exception exn ->
-            (* First failure wins; other workers drain and stop. *)
-            ignore
-              (Atomic.compare_and_set failure None
-                 (Some (exn, Printexc.get_raw_backtrace ())));
-            continue := false
-    done
-  in
-  let spawned = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-  worker ();
-  Array.iter Domain.join spawned;
-  (match Atomic.get failure with
-  | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
-  | None -> ());
-  Array.to_list
-    (Array.map
-       (function
-         | Some r -> r
-         | None -> invalid_arg "Driver.run_parallel: missing result")
-       results)
-
 (** Run the full static analysis.  The program should already pass
     {!Minilang.Validate}.  [graphs], when provided, must be the CFGs of the
     program's functions in source order (as built by
@@ -187,7 +145,8 @@ let run_parallel ~jobs nitems work =
     existing compilation pipeline without rebuilding them, as PARCOACH does
     inside the compiler.
 
-    [jobs] caps the number of domains analysing functions concurrently.
+    [jobs] caps the number of domains analysing functions concurrently
+    ({!Conc.Pool.parallel_for}: at most one per core and per function).
     Without it (or with [jobs:1]) the analysis runs on the calling domain:
     on the catalog programs spawning domains does not pay.  The report is
     identical whatever the job count.
@@ -215,51 +174,35 @@ let analyze ?(options = default_options) ?graphs ?jobs ?reuse ?timings
           invalid_arg "Driver.analyze: graphs do not match the program";
         List.map2 (fun g f -> (Some g, f)) graphs program.Ast.funcs
   in
-  let nitems = List.length items in
   (* Pre-fill the source-order result slots with reused reports; only the
      remaining [todo] items pay for analysis. *)
-  let slots = Array.make nitems None in
+  let slots = Array.make (List.length items) None in
   let todo =
-    List.filteri
-      (fun i (_, f) ->
-        match reuse with
-        | None -> true
-        | Some find -> (
-            match find f with
-            | Some fr ->
-                slots.(i) <- Some fr;
-                false
-            | None -> true))
-      items
-  in
-  let todo_idx =
-    let k = ref (-1) in
     Array.of_list
       (List.filter_map
-         (fun slot ->
-           incr k;
-           match slot with None -> Some !k | Some _ -> None)
-         (Array.to_list slots))
+         (fun (i, (graph, f)) ->
+           match Option.bind reuse (fun find -> find f) with
+           | Some fr ->
+               slots.(i) <- Some fr;
+               None
+           | None -> Some (i, graph, f))
+         (List.mapi (fun i item -> (i, item)) items))
   in
-  let ntodo = List.length todo in
   let jobs =
     match jobs with
     | Some j when j < 1 -> invalid_arg "Driver.analyze: jobs must be >= 1"
-    | Some j -> min j (max ntodo 1)
+    | Some j -> j
     | None -> 1
   in
-  let analyze_item (graph, f) =
-    analyze_func ?graph ?call_collects ?timings options f
-  in
-  (if ntodo > 0 then
-     let todo_arr = Array.of_list todo in
-     if jobs <= 1 || ntodo <= 1 then
-       Array.iteri
-         (fun k i -> slots.(i) <- Some (analyze_item todo_arr.(k)))
-         todo_idx
-     else
-       let results = run_parallel ~jobs ntodo (fun k -> analyze_item todo_arr.(k)) in
-       List.iteri (fun k fr -> slots.(todo_idx.(k)) <- Some fr) results);
+  (* The work items are independent: each function is analysed against
+     its own graph and context; the only shared inputs are the AST and
+     the [call_collects] closure, whose callgraph table is fully built
+     before the fan-out and only read afterwards.  Each item writes its
+     own source-order slot, so the report is byte-identical whatever
+     [jobs] is. *)
+  Conc.Pool.parallel_for ~jobs (Array.length todo) (fun ~worker:_ k ->
+      let i, graph, f = todo.(k) in
+      slots.(i) <- Some (analyze_func ?graph ?call_collects ?timings options f));
   let funcs =
     Array.to_list
       (Array.map

@@ -65,7 +65,7 @@ val analyze_func :
     of rebuilding, as PARCOACH does inside the compiler.
 
     [jobs] bounds the number of OCaml 5 domains analysing functions in
-    parallel.  When it is omitted the analysis runs sequentially on the
+    parallel; no more domains run than there are cores or functions.  When it is omitted the analysis runs sequentially on the
     calling domain, as with [jobs:1].  Results are merged in source order, so
     the report (warnings, CC sites, JSON) is byte-identical for every
     job count.

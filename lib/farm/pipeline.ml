@@ -224,11 +224,12 @@ let run_entries ?timings ?(jobs = 1) ?(shards = 8) ?(batch = 16) spec entries =
   in
   let shard_batches = Array.map batches_of by_shard in
   let nbatches = Array.fold_left (fun acc b -> acc + Array.length b) 0 shard_batches in
-  let workq = Serve.Pool.Workq.create shard_batches in
+  let workq = Conc.Pool.Workq.create shard_batches in
   let caches = Array.init shards (fun _ -> Serve.Cache.create ()) in
   let results : Oracle.obs option array = Array.make n None in
   let stolen = Atomic.make 0 in
-  let worker w () =
+  let width = Conc.Pool.width ~jobs jobs in
+  let drain w =
     let process shard entry =
       results.(entry.id) <-
         Some (observe_entry ?timings ~cache:caches.(shard) ~spec entry)
@@ -238,29 +239,22 @@ let run_entries ?timings ?(jobs = 1) ?(shards = 8) ?(batch = 16) spec entries =
     while !s < shards do
       let continue = ref true in
       while !continue do
-        match Serve.Pool.Workq.take workq ~shard:!s with
+        match Conc.Pool.Workq.take workq ~shard:!s with
         | Some b -> Array.iter (process !s) b
         | None -> continue := false
       done;
-      s := !s + jobs
+      s := !s + width
     done;
     let continue = ref true in
     while !continue do
-      match Serve.Pool.Workq.steal workq ~preferred:(w mod shards) with
+      match Conc.Pool.Workq.steal workq ~preferred:(w mod shards) with
       | Some (shard, b) ->
-          if shard mod jobs <> w then Atomic.incr stolen;
+          if shard mod width <> w then Atomic.incr stolen;
           Array.iter (process shard) b
       | None -> continue := false
     done
   in
-  if jobs = 1 then worker 0 ()
-  else begin
-    let pool = Serve.Pool.create ~jobs () in
-    let promises = List.init jobs (fun w -> Serve.Pool.submit pool (worker w)) in
-    Fun.protect
-      ~finally:(fun () -> Serve.Pool.shutdown pool)
-      (fun () -> List.iter Serve.Pool.Promise.await promises)
-  end;
+  Conc.Pool.parallel_for ~jobs:width width (fun ~worker:_ w -> drain w);
   (* Duplicates inherit their representative's observation. *)
   let obs_of e =
     match results.(e.id) with

@@ -2,7 +2,7 @@
     structural fingerprint, and push every unique program through
     validate → static analysis (with per-shard summary-cache reuse
     across structurally similar mutants) → differential oracle, batched
-    across a bounded {!Serve.Pool} of domains with cross-shard work
+    across {!Conc.Pool.parallel_for} workers with cross-shard work
     stealing.
 
     Two runners produce identical observations:
@@ -75,8 +75,9 @@ val fingerprinted :
   ?timings:Parcoach.Timings.t -> entry array -> entry array
 
 (** The farm fast path on a pre-generated, fingerprinted corpus.
-    [jobs] domains ({!Serve.Pool}), [shards] fingerprint shards each
-    with its own summary cache, [batch] entries per work unit.
+    Up to [jobs] domains ({!Conc.Pool.parallel_for}: at most one per
+    core), [shards] fingerprint shards each with its own summary cache,
+    [batch] entries per work unit.
     Verdicts are identical for every [jobs]/[shards]/[batch]
     combination (summary reuse is relocation-exact). *)
 val run_entries :

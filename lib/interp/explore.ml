@@ -17,7 +17,8 @@
     reachable classes match the unpruned enumeration exactly (modulo
     fingerprint collisions, see docs/PERFORMANCE.md).
 
-    Replays of one breadth-first wave run on OCaml 5 domains; all
+    Replays of one breadth-first wave run on OCaml 5 domains, from one
+    {!Conc.Pool} that lives for the whole exploration; all
     bookkeeping (memo decisions, witness selection, child enumeration)
     happens on the coordinator in frontier order, so the summary is
     byte-identical whatever [jobs] is. *)
@@ -131,49 +132,6 @@ let replay_node ~probe ~(config : Sim.config) ~runner node =
   in
   { r_cls = class_index result.Sim.outcome; r_fp; r_degree }
 
-(** Run [f probes.(w) inputs.(i)] for [i < to_run] into [outputs],
-    fanning out on domains (one resource from [probes] per worker).
-    Workers only execute; they never touch shared mutable exploration
-    state, so the handout order (an atomic counter, as in
-    [Driver.analyze]) does not affect the result.  The first failure in
-    input order is re-raised with its backtrace. *)
-let run_wave ~probes ~f (inputs : 'a array) (outputs : 'b option array)
-    to_run =
-  let jobs = Array.length probes in
-  let errors = Array.make (max to_run 1) None in
-  let next = Atomic.make 0 in
-  let worker probe =
-    let rec go () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < to_run then begin
-        (try outputs.(i) <- Some (f probe inputs.(i))
-         with e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ()));
-        go ()
-      end
-    in
-    go ()
-  in
-  if jobs <= 1 || to_run <= 1 then worker probes.(0)
-  else begin
-    let helpers =
-      Array.init
-        (min (jobs - 1) (to_run - 1))
-        (fun k -> Domain.spawn (fun () -> worker probes.(k + 1)))
-    in
-    worker probes.(0);
-    Array.iter Domain.join helpers
-  end;
-  Array.iter
-    (function
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
-    errors
-
-let replay_wave ~probes ~config ~runner (frontier : node array) infos to_replay
-    =
-  run_wave ~probes
-    ~f:(fun probe node -> replay_node ~probe ~config ~runner node)
-    frontier infos to_replay
-
 (* ------------------------------------------------------------------ *)
 (* The engine                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -197,8 +155,8 @@ let outcomes ?(branch_depth = 8) ?(budget = 2000) ?(jobs = 1)
   let runner =
     match interp with
     | `Compiled ->
-        (* Compile once, before the worker domains exist: the compiled
-           form is immutable and Domain.spawn gives the happens-before
+        (* Compile once, before the pool starts: the compiled form is
+           immutable and the pool's job queue gives the happens-before
            edge, so sharing it is race-free. *)
         let cp = Sim.make program in
         fun ~config ~probe -> Sim.run_compiled ~config ~probe cp
@@ -207,8 +165,9 @@ let outcomes ?(branch_depth = 8) ?(budget = 2000) ?(jobs = 1)
   let ids = Sim.stmt_ids program in
   (* One reusable probe per worker: the fingerprint buffer is allocated
      once and amortised over every replay the worker performs. *)
+  let width = Conc.Pool.width ~jobs budget in
   let probes =
-    Array.init jobs (fun _ -> Sim.make_probe ~depth:branch_depth ~ids)
+    Array.init width (fun _ -> Sim.make_probe ~depth:branch_depth ~ids)
   in
   let next_id = ref 0 in
   let mk ~parent ~choice ~depth =
@@ -229,13 +188,18 @@ let outcomes ?(branch_depth = 8) ?(budget = 2000) ?(jobs = 1)
   let budget_left = ref budget in
   let waves = ref [] in  (* processed (frontier, infos), deepest first *)
   let frontier = ref [| root |] in
+  (* One pool for the whole exploration: the waves reuse its domains. *)
+  Conc.Pool.with_pool ~jobs:width @@ fun pool ->
   while Array.length !frontier > 0 do
     let fr = !frontier in
     let to_replay = min (Array.length fr) !budget_left in
     budget_left := !budget_left - to_replay;
     let infos = Array.make (Array.length fr) None in
-    if to_replay > 0 then
-      replay_wave ~probes ~config ~runner fr infos to_replay;
+    (* Workers only replay, one probe each; they never touch the
+       exploration state. *)
+    Conc.Pool.parallel_for ?pool ~jobs:width to_replay (fun ~worker i ->
+        infos.(i) <-
+          Some (replay_node ~probe:probes.(worker) ~config ~runner fr.(i)));
     (* Coordinator: everything below is sequential and in frontier
        order, so memo decisions, witnesses and child order are
        independent of how workers interleaved. *)
@@ -456,7 +420,8 @@ let outcomes_dpor ?(branch_depth = 8) ?(budget = 2000) ?(jobs = 1)
      fatal-step jobs diverge deep, and without a fingerprint at their
      divergence depth every commuting order of delays would be
      re-analyzed instead of collapsing in the memo table. *)
-  let probes = Array.init jobs (fun _ -> Sim.make_probe ~depth:window ~ids) in
+  let width = Conc.Pool.width ~jobs budget in
+  let probes = Array.init width (fun _ -> Sim.make_probe ~depth:window ~ids) in
   let replay probe (job : djob) =
     let config =
       {
@@ -673,12 +638,15 @@ let outcomes_dpor ?(branch_depth = 8) ?(budget = 2000) ?(jobs = 1)
          else register jf None
        end)
   in
+  (* One pool for the whole exploration: the waves reuse its domains. *)
+  Conc.Pool.with_pool ~jobs:width @@ fun pool ->
   while (not (Queue.is_empty pending)) && !budget_left > 0 do
     let nwave = min (Queue.length pending) !budget_left in
     let batch = Array.init nwave (fun _ -> Queue.pop pending) in
     budget_left := !budget_left - nwave;
     let runs = Array.make nwave None in
-    run_wave ~probes ~f:replay batch runs nwave;
+    Conc.Pool.parallel_for ?pool ~jobs:width nwave (fun ~worker i ->
+        runs.(i) <- Some (replay probes.(worker) batch.(i)));
     (* Coordinator: analysis is sequential in job-creation order, so
        trie updates, witnesses and new jobs are independent of how the
        workers interleaved — the summary is byte-identical whatever

@@ -52,7 +52,8 @@ val class_name : Sim.outcome -> string
 (** Explore breadth-first with fingerprint pruning, replaying at most
     [budget] schedules ([runs] may exceed [budget] thanks to pruning)
     and branching over the first [branch_depth] choices; wave replays
-    run on [jobs] domains.  [interp] selects the interpreter core:
+    run on up to [jobs] domains (at most one per core), from one
+    {!Conc.Pool} created per call.  [interp] selects the interpreter core:
     [`Compiled] (default) lowers the program once and shares the
     immutable compiled form across all workers, [`Reference] replays
     with the AST tree-walker.  Both produce the same summary.
@@ -84,8 +85,9 @@ val outcomes_reference :
     were dependent yet unordered — one representative per Mazurkiewicz
     trace instead of one node per schedule prefix.  Composes with the
     fingerprint table (replays converging to a seen state skip their
-    post-divergence analysis) and replays each wave on [jobs] domains
-    with a byte-identical summary whatever [jobs] is.
+    post-divergence analysis) and replays each wave on up to [jobs]
+    domains of one per-call {!Conc.Pool}, with a byte-identical summary
+    whatever [jobs] is.
 
     Counting semantics differ from {!outcomes}: each replay counts once
     for its outcome class (no subtree crediting), so per-class counts

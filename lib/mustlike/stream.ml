@@ -11,13 +11,15 @@
       push blocks, so a rank can run at most [window] collective rounds
       ahead of the slowest checked round (backpressure; in-flight memory
       is O(window × nranks) whatever the trace length).
-    - {e Internal nodes / reducer}: a coordinator domain drains the
-      mailboxes in batches of up to [batch] rounds and scans them for
-      agreement — the hot path is an integer comparison per (rank,
-      round), no strings, no hashtables.  With [shards > 1] the scan of
-      each batch is split over contiguous leaf segments and run on the
-      {!Serve.Pool} worker domains (the overlay's internal-node shards);
-      verdicts are identical for every shard count.
+    - {e Internal nodes / reducer}: a coordinator, a job on the
+      checker's own {!Conc.Pool}, drains the mailboxes in batches of up
+      to [batch] rounds and scans them for agreement — the hot path is
+      an integer comparison per (rank, round), no strings, no
+      hashtables.  With [shards > 1] the scan of each batch is split over
+      contiguous leaf segments and fanned out with
+      {!Conc.Pool.parallel_for} on the same pool (the overlay's
+      internal-node shards); verdicts are identical for every shard
+      count.
     - {e Divergence}: the first disagreeing round is replayed through
       {!Overlay.reduce_round} — the exact reduction the post-hoc checker
       runs every round — so verdict, divergence position, layer, node
@@ -35,7 +37,7 @@
       metrics (and where a later divergence would be localized). *)
 
 module Intern = Mpisim.Coll.Intern
-module Mailbox = Serve.Pool.Ring
+module Mailbox = Conc.Pool.Ring
 
 type stats = {
   events : int;  (** Events consumed before the verdict was reached. *)
@@ -79,9 +81,8 @@ type t = {
   intern : Intern.t;
   producers : producer array;
   mailboxes : Mailbox.t array;
-  pool : Serve.Pool.t option;
-  mutable worker : (Overlay.report * stats) Domain.t option;
-  mutable outcome : (Overlay.report * stats) option;
+  pool : Conc.Pool.t;
+  mutable worker : (Overlay.report * stats) Conc.Pool.Promise.t option;
 }
 
 (** Load-aware initial fanout: the smallest fanout whose tree is at most
@@ -216,17 +217,11 @@ let coordinate t =
         assert (nrounds >= 1 && nrounds <= t.batch);
         incr batches;
         if nrounds > !max_fill then max_fill := nrounds;
-        (* Scan for agreement: inline, or sharded over the pool. *)
-        (match t.pool with
-        | None -> scan_segment 0 n shard_out.(0) nrounds
-        | Some pool ->
-            let promises =
-              Array.init t.nshards (fun s ->
-                  Serve.Pool.submit pool (fun () ->
-                      scan_segment bounds.(s) bounds.(s + 1) shard_out.(s)
-                        nrounds))
-            in
-            Array.iter (fun p -> Serve.Pool.Promise.await p) promises);
+        (* Scan for agreement: inline with one shard, else sharded over
+           the pool. *)
+        Conc.Pool.parallel_for ~pool:t.pool ~jobs:t.nshards t.nshards
+          (fun ~worker:_ s ->
+            scan_segment bounds.(s) bounds.(s + 1) shard_out.(s) nrounds);
         (* Combine the shard verdicts round by round, in order. *)
         let i = ref 0 in
         let diverged = ref None in
@@ -371,14 +366,15 @@ let create ?fanout ?(window = 1024) ?(batch = 256) ?(shards = 1)
               last_id = 0;
             });
       mailboxes = Array.init nranks (fun _ -> Mailbox.create window);
-      pool =
-        (if nshards > 1 then Some (Serve.Pool.create ~jobs:nshards ())
-         else None);
+      (* The coordinator's domain plus, with several shards, one per
+         shard.  Not clamped to the cores: the coordinator holds its
+         domain for the checker's lifetime, and the shard jobs it fans
+         out need the others. *)
+      pool = Conc.Pool.create ~jobs:(if nshards > 1 then nshards + 1 else 1) ();
       worker = None;
-      outcome = None;
     }
   in
-  t.worker <- Some (Domain.spawn (fun () -> coordinate t));
+  t.worker <- Some (Conc.Pool.submit t.pool (fun () -> coordinate t));
   t
 
 let intern t (e : Overlay.event) = Intern.id t.intern e.Mpisim.Engine.signature
@@ -471,20 +467,10 @@ let close t =
     t.mailboxes
 
 let result t =
-  match t.outcome with
-  | Some r -> r
-  | None ->
-      close t;
-      let r =
-        match t.worker with
-        | Some d ->
-            t.worker <- None;
-            Domain.join d
-        | None -> assert false (* outcome cached on first join *)
-      in
-      Option.iter Serve.Pool.shutdown t.pool;
-      t.outcome <- Some r;
-      r
+  close t;
+  Fun.protect
+    ~finally:(fun () -> Conc.Pool.shutdown t.pool)
+    (fun () -> Conc.Pool.Promise.await (Option.get t.worker))
 
 (** Subscribe [t] to a simulated MPI engine: every recorded arrival is
     pushed online, and per-rank trace retention is turned off — the

@@ -1,9 +1,9 @@
 (** Streaming MUST-style overlay checker: the online form of {!Overlay}.
 
     Ranks push collective events as they happen into bounded per-leaf
-    mailboxes; a coordinator domain drains them in batches, compares
-    interned signature ids (integers, not strings), and optionally
-    shards the scan over {!Serve.Pool} worker domains.  Backpressure: a
+    mailboxes; a coordinator on the checker's {!Conc.Pool} drains them
+    in batches, compares interned signature ids (integers, not strings),
+    and optionally shards the scan over the same pool.  Backpressure: a
     full mailbox blocks its producer, so in-flight memory is
     O(window × nranks) regardless of trace length.  Verdicts,
     divergence localization and cost metrics are byte-identical to
@@ -33,16 +33,17 @@ type t
     letting any single tool node serve an unbounded fan-in. *)
 val auto_fanout : nranks:int -> int
 
-(** [create ~nranks ()] spawns the coordinator domain and returns a live
-    checker.
+(** [create ~nranks ()] starts the coordinator on a pool of its own and
+    returns a live checker.
 
     @param fanout overlay tree fanout (default {!auto_fanout}; >= 2).
     @param window per-rank mailbox capacity — the divergence window and
       backpressure bound (default 1024; >= 2).
     @param batch maximum rounds reduced per coordinator wake-up
       (default 256; >= 1).
-    @param shards internal-node shards run on a {!Serve.Pool} of domains
-      (default 1 = scan inline; clamped to [nranks]).  The verdict is
+    @param shards internal-node shards fanned out with
+      {!Conc.Pool.parallel_for} (default 1 = scan inline; clamped to
+      [nranks]).  The verdict is
       independent of the shard count.
     @param adapt enable load-aware tree reconfiguration (default
       [false]).  Retuning changes only cost metrics, never verdicts; use

@@ -395,7 +395,12 @@ let serve ?(pool = 1) t ic oc =
     flush oc;
     Mutex.unlock out_lock
   in
-  let workers = if pool > 1 then Some (Pool.create ~jobs:pool ()) else None in
+  (* Requests are independent, so a pool wider than the cores only adds
+     domains (and OCaml caps the live ones). *)
+  let pool = min pool (Domain.recommended_domain_count ()) in
+  let workers =
+    if pool > 1 then Some (Conc.Pool.create ~jobs:pool ()) else None
+  in
   let rec loop () =
     match input_line ic with
     | exception End_of_file -> None
@@ -405,12 +410,13 @@ let serve ?(pool = 1) t ic oc =
         else begin
           (match workers with
           | None -> emit (handle_line t line)
-          | Some p -> ignore (Pool.submit p (fun () -> emit (handle_line t line))));
+          | Some p ->
+              ignore (Conc.Pool.submit p (fun () -> emit (handle_line t line))));
           loop ()
         end
   in
   let shutdown_line = loop () in
   (* Drain in-flight requests before answering the shutdown (or before
      returning on EOF), so every accepted request gets its response. *)
-  Option.iter Pool.shutdown workers;
+  Option.iter Conc.Pool.shutdown workers;
   Option.iter (fun line -> emit (handle_line t line)) shutdown_line

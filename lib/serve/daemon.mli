@@ -67,7 +67,7 @@ val handle_request : t -> Json.t -> Json.t
 val handle_line : t -> string -> string
 
 (** Serve a channel pair until EOF or a [shutdown] request.  [pool] > 1
-    dispatches requests onto that many worker domains (responses are
-    written line-atomically, correlated by [id]); the pool is drained
-    before returning. *)
+    dispatches requests onto that many worker domains, at most one per
+    core (responses are written line-atomically, correlated by [id]); the
+    pool is drained before returning. *)
 val serve : ?pool:int -> t -> in_channel -> out_channel -> unit

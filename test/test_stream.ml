@@ -103,31 +103,6 @@ let determinism_tests =
 
 let backpressure_tests =
   [
-    Alcotest.test_case "full mailbox blocks the producer without dropping"
-      `Quick (fun () ->
-        let mb = Serve.Pool.Ring.create 2 in
-        Serve.Pool.Ring.push mb 1;
-        Serve.Pool.Ring.push mb 2;
-        let third_pushed = Atomic.make false in
-        let producer =
-          Domain.spawn (fun () ->
-              Serve.Pool.Ring.push mb 3;
-              Atomic.set third_pushed true)
-        in
-        (* The producer must be blocked on the full mailbox.  A timing
-           check, but generous: it only fails if backpressure is absent
-           entirely. *)
-        Unix.sleepf 0.05;
-        Alcotest.(check bool) "push blocked while full" false
-          (Atomic.get third_pushed);
-        Alcotest.(check (option int)) "fifo" (Some 1) (Serve.Pool.Ring.pop mb);
-        Domain.join producer;
-        Alcotest.(check bool) "push completed after pop" true
-          (Atomic.get third_pushed);
-        Alcotest.(check (option int)) "nothing dropped" (Some 2)
-          (Serve.Pool.Ring.pop mb);
-        Alcotest.(check (option int)) "third delivered" (Some 3)
-          (Serve.Pool.Ring.pop mb));
     Alcotest.test_case "divergence verdict drains late producers" `Quick
       (fun () ->
         (* Rank 1 diverges at position 0 but keeps pushing far past the
