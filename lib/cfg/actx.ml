@@ -24,6 +24,8 @@ type t = {
   mutable loops : Loops.loop list option;
   mutable rank_dep : (string list * (int -> bool)) option;
       (** Taint predicate, keyed by the parameter list it was built for. *)
+  mutable rank_taint : bool;
+      (** The predicate's taint fixpoint has run. *)
 }
 
 let create graph =
@@ -38,6 +40,7 @@ let create graph =
     pdom_frontiers = None;
     loops = None;
     rank_dep = None;
+    rank_taint = false;
   }
 
 let graph t = t.graph
@@ -101,12 +104,23 @@ let loops =
 (** Rank-dependence predicate for [Cond] nodes (see
     {!Dataflow.cond_rank_dependent}).  The cache is keyed by [params]: the
     pipeline analyses one function per graph, so this is a hit after the
-    first call. *)
+    first call.  The taint fixpoint runs the first time the predicate is
+    asked about a [Cond] node: most functions have no conditional in any
+    [PDF+] the phases look at, and never pay for it. *)
 let rank_dependent t ~params =
   match t.rank_dep with
   | Some (p, f) when p = params -> f
   | _ ->
-      let f = Dataflow.cond_rank_dependent t.graph ~params in
+      let taint =
+        lazy
+          (t.rank_taint <- true;
+           Dataflow.cond_rank_dependent t.graph ~params)
+      in
+      let f id =
+        match Graph.kind t.graph id with
+        | Graph.Cond _ -> Lazy.force taint id
+        | _ -> false
+      in
       t.rank_dep <- Some (params, f);
       f
 
@@ -123,4 +137,5 @@ let populated t =
       ("pdom_frontiers", t.pdom_frontiers <> None);
       ("loops", t.loops <> None);
       ("rank_dep", t.rank_dep <> None);
+      ("rank_taint", t.rank_taint);
     ]

@@ -38,7 +38,8 @@ val pdf_plus : t -> int list -> int list
 val loops : t -> Loops.loop list
 
 (** Rank-dependence predicate for [Cond] nodes, cached per parameter
-    list. *)
+    list.  The taint fixpoint behind it runs on the first query about a
+    [Cond] node (["rank_taint"] in {!populated}). *)
 val rank_dependent : t -> params:string list -> (int -> bool)
 
 (** Names of the populated caches, for tests and debugging. *)

@@ -42,6 +42,74 @@ let postorder_array g ~root ~backward =
   done;
   Array.sub order 0 !len
 
+(** Strongly connected components, by one iterative Tarjan pass over
+    every node: [comp.(id)] is the component number of [id], and two
+    nodes share a number iff each reaches the other. *)
+let scc g =
+  freeze g;
+  let n = nb_nodes g in
+  let index = Array.make n (-1) in
+  let low = Array.make n 0 in
+  let comp = Array.make n (-1) in
+  let on_stack = Bytes.make n '\000' in
+  (* Tarjan's stack of open nodes, and the DFS stack of (node, next
+     edge) frames that replaces the recursion. *)
+  let open_nodes = Array.make n 0 in
+  let osp = ref 0 in
+  let stack_node = Array.make n 0 in
+  let stack_edge = Array.make n 0 in
+  let sp = ref 0 in
+  let next_index = ref 0 in
+  let ncomp = ref 0 in
+  let visit id =
+    index.(id) <- !next_index;
+    low.(id) <- !next_index;
+    incr next_index;
+    open_nodes.(!osp) <- id;
+    incr osp;
+    Bytes.set on_stack id '\001';
+    stack_node.(!sp) <- id;
+    stack_edge.(!sp) <- 0;
+    incr sp
+  in
+  for root = 0 to n - 1 do
+    if index.(root) < 0 then begin
+      visit root;
+      while !sp > 0 do
+        let top = !sp - 1 in
+        let id = stack_node.(top) in
+        let k = stack_edge.(top) in
+        if k < out_degree g id then begin
+          stack_edge.(top) <- k + 1;
+          let next = nth_succ g id k in
+          if index.(next) < 0 then visit next
+          else if Bytes.get on_stack next = '\001' then
+            low.(id) <- min low.(id) index.(next)
+        end
+        else begin
+          decr sp;
+          if !sp > 0 then begin
+            let parent = stack_node.(!sp - 1) in
+            low.(parent) <- min low.(parent) low.(id)
+          end;
+          if low.(id) = index.(id) then begin
+            let c = !ncomp in
+            incr ncomp;
+            let rec close () =
+              decr osp;
+              let w = open_nodes.(!osp) in
+              Bytes.set on_stack w '\000';
+              comp.(w) <- c;
+              if w <> id then close ()
+            in
+            close ()
+          end
+        end
+      done
+    end
+  done;
+  comp
+
 (** Reverse postorder from the entry node, as an array. *)
 let rpo_array g =
   let po = postorder_array g ~root:g.entry ~backward:false in

@@ -5,6 +5,11 @@
     successors ([backward:false]) or predecessors ([backward:true]). *)
 val postorder_array : Graph.t -> root:int -> backward:bool -> int array
 
+(** Strongly connected components (one iterative Tarjan pass over every
+    node): [comp.(id)] is the component number of [id]; two nodes share a
+    number iff each reaches the other. *)
+val scc : Graph.t -> int array
+
 (** Reverse postorder from the entry, following successors. *)
 val rpo_array : Graph.t -> int array
 

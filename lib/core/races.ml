@@ -114,26 +114,22 @@ let self_mhp w = not (Pword.monothreaded w)
 (* ------------------------------------------------------------------ *)
 
 (* Nodes lying on a cycle through a Barrier_node: reachable from some
-   barrier that is reachable from them. *)
+   barrier that is reachable from them, the barrier itself included.
+   Those are exactly the nodes whose strongly connected component holds
+   a barrier, so one SCC pass answers for every barrier at once. *)
 let barrier_loopy (g : Cfg.Graph.t) =
   let n = Cfg.Graph.nb_nodes g in
-  let loopy = Array.make n false in
-  let barriers =
+  match
     Cfg.Graph.filter_nodes g (function
       | Cfg.Graph.Barrier_node _ -> true
       | _ -> false)
-  in
-  List.iter
-    (fun b ->
-      let fwd = Array.make n false in
-      Array.iter
-        (fun id -> fwd.(id) <- true)
-        (Cfg.Traversal.postorder_array g ~root:b ~backward:false);
-      Array.iter
-        (fun id -> if fwd.(id) then loopy.(id) <- true)
-        (Cfg.Traversal.postorder_array g ~root:b ~backward:true))
-    barriers;
-  loopy
+  with
+  | [] -> Array.make n false
+  | barriers ->
+      let comp = Cfg.Traversal.scc g in
+      let with_barrier = Array.make n false in
+      List.iter (fun b -> with_barrier.(comp.(b)) <- true) barriers;
+      Array.map (fun c -> with_barrier.(c)) comp
 
 (* ------------------------------------------------------------------ *)
 (* Relevance: does the variable feed a collective or a conditional?    *)

@@ -51,6 +51,11 @@ val mhp : phase_blind:bool -> Pword.word -> Pword.word -> bool
 (** May two dynamic instances of the same node overlap? *)
 val self_mhp : Pword.word -> bool
 
+(** Per node: does it lie on a cycle through a barrier node (reached
+    from some barrier and reaching it)?  Every barrier node counts as on
+    a cycle through itself.  Such nodes are phase-blind for {!mhp}. *)
+val barrier_loopy : Cfg.Graph.t -> bool array
+
 (** [requests], when given, enables the happens-before refinement
     against the request-lifecycle facts of the same function. *)
 val analyze :

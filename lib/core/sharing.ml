@@ -20,14 +20,6 @@
 open Minilang
 module SMap = Map.Make (String)
 
-module Stmt_tbl = Hashtbl.Make (struct
-  type t = Ast.stmt
-
-  let equal = ( == )
-
-  let hash = Hashtbl.hash
-end)
-
 (** One visible binding: the unique declaration it resolves to and the
     parallel depth that declaration was made at. *)
 type binding = { decl_id : int; decl_pdepth : int }
@@ -40,14 +32,14 @@ type info = {
   bindings : binding SMap.t;
 }
 
-type t = info Stmt_tbl.t
+type t = info Ast.Stmt_tbl.t
 
 (** The anonymous critical's reserved name (kept in sync with
     [Ompsim.Critical.anonymous]; this library does not link ompsim). *)
 let anonymous_critical = "<anonymous>"
 
 let analyze (f : Ast.func) : t =
-  let tbl = Stmt_tbl.create 64 in
+  let tbl = Ast.Stmt_tbl.create 64 in
   let next = ref 0 in
   let bind env x =
     let id = !next in
@@ -59,7 +51,7 @@ let analyze (f : Ast.func) : t =
     }
   in
   let rec stmt env (s : Ast.stmt) =
-    Stmt_tbl.replace tbl s env;
+    Ast.Stmt_tbl.replace tbl s env;
     match s.Ast.sdesc with
     | Ast.Decl (x, _) -> bind env x
     | Ast.If (_, bt, bf) ->
@@ -115,7 +107,7 @@ let analyze (f : Ast.func) : t =
     statements the CFG builder manufactures when desugaring [for]
     loops — their shared accesses are re-extracted at the loop's [Cond]
     node). *)
-let info (t : t) (s : Ast.stmt) = Stmt_tbl.find_opt t s
+let info (t : t) (s : Ast.stmt) = Ast.Stmt_tbl.find_opt t s
 
 (** [shared inf x] returns the binding of [x] when it resolves to shared
     storage at a statement with facts [inf] (declared strictly outside

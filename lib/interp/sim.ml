@@ -123,16 +123,6 @@ let default_config =
 
 exception Abort_exn of outcome
 
-(* Physical-identity statement table, for construct uids ([single]
-   arbitration keys). *)
-module Stmt_tbl = Hashtbl.Make (struct
-  type t = Ast.stmt
-
-  let equal = ( == )
-
-  let hash = Hashtbl.hash
-end)
-
 (* ------------------------------------------------------------------ *)
 (* Exploration probe: canonical statement ids + state fingerprints      *)
 (* ------------------------------------------------------------------ *)
@@ -144,17 +134,17 @@ end)
     comparable.  {!Compile.lower} assigns the same numbers (same
     traversal, same dedup), so they are also stable across the two
     interpreter cores. *)
-type stmt_ids = int Stmt_tbl.t
+type stmt_ids = int Ast.Stmt_tbl.t
 
 let stmt_ids (program : Ast.program) : stmt_ids =
-  let tbl = Stmt_tbl.create 256 in
+  let tbl = Ast.Stmt_tbl.create 256 in
   let next = ref 0 in
   List.iter
     (fun (f : Ast.func) ->
       Ast.fold_stmts
         (fun () s ->
-          if not (Stmt_tbl.mem tbl s) then begin
-            Stmt_tbl.replace tbl s !next;
+          if not (Ast.Stmt_tbl.mem tbl s) then begin
+            Ast.Stmt_tbl.replace tbl s !next;
             incr next
           end)
         () f.Ast.body)
@@ -788,7 +778,7 @@ type rstate = {
   core : (Task.kont, Env.cell) core;
   program : Ast.program;
   ids : stmt_ids option;  (** Canonical ids (probe runs). *)
-  uids : int Stmt_tbl.t;  (** Dynamic fallback, numbered downwards. *)
+  uids : int Ast.Stmt_tbl.t;  (** Dynamic fallback, numbered downwards. *)
   mutable next_uid : int;
   tasks : rtask list ref;  (** All tasks ever spawned, oldest first. *)
   task_tbl : (int, rtask) Hashtbl.t;
@@ -800,18 +790,18 @@ type rstate = {
    schedules), dynamic encounter-order ids otherwise.  The dynamic
    numbering counts downwards from -1 so the two ranges never collide. *)
 let dynamic_uid st stmt =
-  match Stmt_tbl.find_opt st.uids stmt with
+  match Ast.Stmt_tbl.find_opt st.uids stmt with
   | Some u -> u
   | None ->
       let u = st.next_uid in
       st.next_uid <- u - 1;
-      Stmt_tbl.replace st.uids stmt u;
+      Ast.Stmt_tbl.replace st.uids stmt u;
       u
 
 let uid_of st stmt =
   match st.ids with
   | Some ids -> (
-      match Stmt_tbl.find_opt ids stmt with
+      match Ast.Stmt_tbl.find_opt ids stmt with
       | Some u -> u
       | None -> dynamic_uid st stmt)
   | None -> dynamic_uid st stmt
@@ -832,7 +822,7 @@ let block_hash ids (b : Ast.block) =
   match b with
   | [] -> 0x27d4eb2f
   | s :: _ -> (
-      match Stmt_tbl.find_opt ids s with
+      match Ast.Stmt_tbl.find_opt ids s with
       | Some u -> u + 0x100
       | None -> Hashtbl.hash s.Ast.sloc)
 
@@ -1367,7 +1357,7 @@ let run_reference ?(config = default_config) ?probe (program : Ast.program) =
       core;
       program;
       ids = Option.map (fun (p : probe) -> p.ids) probe;
-      uids = Stmt_tbl.create 64;
+      uids = Ast.Stmt_tbl.create 64;
       next_uid = -1;
       tasks;
       task_tbl;

@@ -153,6 +153,20 @@ type program = { funcs : func list }
 
 let mk ?(loc = Loc.none) sdesc = { sdesc; sloc = loc }
 
+(* A structural hash walks the statement's AST (~100 ns); the location
+   is two ints.  Parsed and line-numbered programs give almost every
+   statement its own location; the few that share one (the checks the
+   instrumentation inserts and the statement they guard) share a bucket. *)
+module Stmt_tbl = Hashtbl.Make (struct
+  type t = stmt
+
+  let equal = ( == )
+
+  let hash s =
+    if Loc.is_none s.sloc then Hashtbl.hash s
+    else (s.sloc.Loc.line * 65599) + s.sloc.Loc.col
+end)
+
 (** [find_func p name] returns the function named [name], if any. *)
 let find_func program name =
   List.find_opt (fun f -> String.equal f.fname name) program.funcs

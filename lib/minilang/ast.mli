@@ -118,6 +118,11 @@ type program = { funcs : func list }
 
 val mk : ?loc:Loc.t -> sdesc -> stmt
 
+(** Tables keyed by a statement's physical identity ([==]).  Keys hash
+    by source location; statements without one ({!Loc.is_none}) hash
+    structurally, so synthesised code does not share one bucket. *)
+module Stmt_tbl : Hashtbl.S with type key = stmt
+
 val find_func : program -> string -> func option
 
 (** @raise Not_found if there is no [main]. *)

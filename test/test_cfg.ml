@@ -533,9 +533,59 @@ let invariant_tests =
              vs));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Strongly connected components                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Random digraphs with self-loops, parallel edges, cross edges and
+   nodes unreachable from the entry: [n] nodes, edges as index pairs. *)
+let gen_digraph =
+  QCheck.Gen.(
+    let* n = int_range 2 24 in
+    let* edges = list_size (int_bound (3 * n)) (pair (int_bound (n - 1)) (int_bound (n - 1))) in
+    return (n, edges))
+
+let digraph_of (n, edges) =
+  let g = Graph.create "scc" in
+  ignore (Graph.add_node g Graph.Entry);
+  ignore (Graph.add_node g Graph.Exit);
+  for _ = 3 to n do
+    ignore (Graph.add_node g (Graph.Simple []))
+  done;
+  List.iter (fun (a, b) -> Graph.add_edge g a b) edges;
+  g
+
+let scc_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300
+         ~name:"scc: same component iff mutually reachable"
+         (QCheck.make
+            ~print:(fun (n, es) ->
+              Printf.sprintf "%d nodes: %s" n
+                (String.concat " "
+                   (List.map (fun (a, b) -> Printf.sprintf "%d->%d" a b) es)))
+            gen_digraph)
+         (fun spec ->
+           let g = digraph_of spec in
+           let comp = Traversal.scc g in
+           let n = Graph.nb_nodes g in
+           let ok = ref true in
+           for a = 0 to n - 1 do
+             for b = 0 to n - 1 do
+               let mutual =
+                 Traversal.path_exists g a b && Traversal.path_exists g b a
+               in
+               if mutual <> (comp.(a) = comp.(b)) then ok := false
+             done
+           done;
+           !ok));
+  ]
+
 let suite =
   [
     ("cfg.build", build_tests);
+    ("cfg.scc", scc_tests);
     ("cfg.invariants", invariant_tests);
     ("cfg.dominance", diamond_tests);
     ("cfg.loops", loop_tests);

@@ -273,6 +273,35 @@ let test_interproc_with_actx () =
         (Parcoach.Interproc.analyze ~actx:other g ~taint_filter:false
            ~params:[]))
 
+(* The rank-taint fixpoint runs only when a phase asks about a [Cond]
+   node of some PDF+: not for a collective outside every conditional,
+   and once a rank-dependent branch controls one. *)
+let test_taint_on_demand () =
+  let taint_ran src =
+    let p = Minilang.Parser.parse_string ~file:"taint" src in
+    let g = List.hd (Build.of_program p) in
+    let actx = Actx.create g in
+    ignore (Parcoach.Interproc.analyze ~actx g ~taint_filter:true ~params:[ "n" ]);
+    ignore (Parcoach.Requests.analyze ~actx g ~taint_filter:true ~params:[ "n" ]);
+    Alcotest.(check bool) "predicate built" true
+      (List.mem "rank_dep" (Actx.populated actx));
+    List.mem "rank_taint" (Actx.populated actx)
+  in
+  Alcotest.(check bool) "no Cond in any PDF+: no fixpoint" false
+    (taint_ran
+       {|func main(n) {
+           var x = 0;
+           if (n < 3) { x = 1; } else { compute(2); }
+           x = MPI_Allreduce(x, sum);
+           r = MPI_Ibarrier();
+           MPI_Wait(r);
+         }|});
+  Alcotest.(check bool) "Cond in a PDF+: fixpoint runs" true
+    (taint_ran
+       {|func main(n) {
+           if (rank() == 0) { MPI_Barrier(); }
+         }|})
+
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel driver determinism                                  *)
 (* ------------------------------------------------------------------ *)
@@ -369,6 +398,8 @@ let suite =
         Alcotest.test_case "memoization contract" `Quick test_actx_memoization;
         Alcotest.test_case "interproc shares the context" `Quick
           test_interproc_with_actx;
+        Alcotest.test_case "rank taint runs on demand" `Quick
+          test_taint_on_demand;
       ] );
     ( "perf.parallel-driver",
       [

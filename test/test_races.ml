@@ -323,9 +323,134 @@ let qcheck_tests =
              (dynamic_race_keys ~seeds:3 p)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Barrier cycles: one SCC pass vs the per-barrier definition          *)
+(* ------------------------------------------------------------------ *)
+
+let is_barrier = function Cfg.Graph.Barrier_node _ -> true | _ -> false
+
+(* The definition [Races.barrier_loopy] answers for: a node lies on a
+   cycle through barrier [b] when [b] reaches it and it reaches [b]
+   ([b] itself included) — two full traversals per barrier. *)
+let barrier_loopy_oracle g =
+  let n = Cfg.Graph.nb_nodes g in
+  let loopy = Array.make n false in
+  List.iter
+    (fun b ->
+      let fwd = Array.make n false in
+      Array.iter
+        (fun id -> fwd.(id) <- true)
+        (Cfg.Traversal.postorder_array g ~root:b ~backward:false);
+      Array.iter
+        (fun id -> if fwd.(id) then loopy.(id) <- true)
+        (Cfg.Traversal.postorder_array g ~root:b ~backward:true))
+    (Cfg.Graph.filter_nodes g is_barrier);
+  loopy
+
+let loopy_graph src =
+  let g = List.hd (Cfg.Build.of_program (parse src)) in
+  let loopy = Races.barrier_loopy g in
+  Alcotest.(check (array bool)) "= per-barrier definition"
+    (barrier_loopy_oracle g) loopy;
+  (g, loopy)
+
+(* Loopiness of the [Cond] nodes whose condition reads [var]. *)
+let cond_loopy g loopy var =
+  Cfg.Graph.fold_nodes g
+    (fun acc nd ->
+      match nd.Cfg.Graph.kind with
+      | Cfg.Graph.Cond { expr; _ }
+        when Cfg.Dataflow.StringSet.mem var
+               (Cfg.Dataflow.expr_vars Cfg.Dataflow.StringSet.empty expr) ->
+          loopy.(nd.Cfg.Graph.id) :: acc
+      | _ -> acc)
+    []
+
+let loopy_tests =
+  [
+    Alcotest.test_case "a barrier on no cycle is loopy, nothing else is"
+      `Quick (fun () ->
+        let g, loopy =
+          loopy_graph
+            {|func main(n) {
+                pragma omp parallel num_threads(2) {
+                  compute(1);
+                  pragma omp barrier;
+                  if (n < 2) { compute(2); } else { pragma omp barrier; }
+                  compute(3);
+                }
+              }|}
+        in
+        Cfg.Graph.iter_nodes g (fun nd ->
+            Alcotest.(check bool)
+              (Cfg.Graph.kind_label g nd.Cfg.Graph.id)
+              (is_barrier nd.Cfg.Graph.kind)
+              loopy.(nd.Cfg.Graph.id)));
+    Alcotest.test_case "a barrier inside a while makes the loop loopy" `Quick
+      (fun () ->
+        let g, loopy =
+          loopy_graph
+            {|func main(n) {
+                pragma omp parallel num_threads(2) {
+                  var i = 0;
+                  while (i < n) {
+                    compute(1);
+                    pragma omp barrier;
+                    i = i + 1;
+                  }
+                  var k = 0;
+                  while (k < n) { k = k + 1; }
+                }
+              }|}
+        in
+        Alcotest.(check (list bool)) "loop condition" [ true ]
+          (cond_loopy g loopy "i");
+        Alcotest.(check (list bool)) "barrier-free loop after it" [ false ]
+          (cond_loopy g loopy "k");
+        Alcotest.(check bool) "entry" false loopy.(g.Cfg.Graph.entry);
+        Alcotest.(check bool) "exit" false loopy.(g.Cfg.Graph.exit));
+    Alcotest.test_case "nested loops around a barrier are loopy" `Quick
+      (fun () ->
+        let g, loopy =
+          loopy_graph
+            {|func main(n) {
+                pragma omp parallel num_threads(2) {
+                  var i = 0;
+                  while (i < n) {
+                    var j = 0;
+                    while (j < n) { compute(j); j = j + 1; }
+                    pragma omp barrier;
+                    i = i + 1;
+                  }
+                  var k = 0;
+                  while (k < n) {
+                    var m = 0;
+                    while (m < n) { m = m + 1; }
+                    k = k + 1;
+                  }
+                }
+              }|}
+        in
+        Alcotest.(check (list bool)) "outer loop" [ true ]
+          (cond_loopy g loopy "i");
+        Alcotest.(check (list bool)) "inner loop, reaching the barrier"
+          [ true ] (cond_loopy g loopy "j");
+        Alcotest.(check (list bool)) "barrier-free nest" [ false; false ]
+          (cond_loopy g loopy "k" @ cond_loopy g loopy "m"));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:200
+         ~name:"barrier_loopy = per-barrier definition on farm programs"
+         (QCheck.make ~print:Test_farm.case_print Test_farm.gen_case)
+         (fun case ->
+           List.for_all
+             (fun g -> Races.barrier_loopy g = barrier_loopy_oracle g)
+             (Cfg.Build.of_program (Farm.Gen.program case))));
+  ]
+
 let suite =
   [
     ("races.mhp", mhp_tests);
+    ("races.loopy", loopy_tests);
     ("races.static", static_tests);
     ("races.dynamic", dynamic_tests);
     ("races.qcheck", qcheck_tests);

@@ -133,6 +133,31 @@ let static_tests =
 
 let clean_tests =
   [
+    Alcotest.test_case "request-free function returns the fixed empty result"
+      `Quick (fun () ->
+        let program =
+          parse
+            {|func main(n) {
+               var x = 0;
+               while (x < n) { x = MPI_Allreduce(x, sum); }
+               if (rank() == 0) { print(x); }
+             }|}
+        in
+        let g = List.hd (Cfg.Build.of_program program) in
+        let r = Requests.analyze g ~taint_filter:true ~params:[ "n" ] in
+        Alcotest.(check int) "nrequests" 0 r.Requests.nrequests;
+        Alcotest.(check int) "nstarts" 0 r.Requests.nstarts;
+        Alcotest.(check int) "findings" 0 (List.length r.Requests.findings);
+        Alcotest.(check int) "buffers" 0 (List.length r.Requests.buffers);
+        Alcotest.(check int) "inflight per node" (Cfg.Graph.nb_nodes g)
+          (Array.length r.Requests.inflight);
+        Alcotest.(check bool) "inflight all empty" true
+          (Array.for_all Requests.SSet.is_empty r.Requests.inflight));
+    Alcotest.test_case "a wait without a start still runs the lifecycle"
+      `Quick (fun () ->
+        let program = parse {|func main() { MPI_Wait(r); MPI_Wait(r); }|} in
+        Alcotest.(check int) "double wait" 1
+          (count_class (analyze program) "double wait"));
     Alcotest.test_case "catalog has zero request warnings" `Quick (fun () ->
         List.iter
           (fun (e : Benchsuite.Catalog.entry) ->
