@@ -948,12 +948,12 @@ let explore_section () =
 (* ------------------------------------------------------------------ *)
 
 (* Throughput of the fingerprint-pruned wave engine against the
-   reference (unpruned, depth-first, sequential) enumeration on the
+   executable spec's unpruned, depth-first, sequential enumeration on the
    deadlock reproducer, in represented schedules per second.  The
-   correctness gate runs first: per-class counts must match the
-   reference exactly, otherwise the throughput is meaningless. *)
+   correctness gate runs first: per-class counts must match the spec
+   exactly, otherwise the throughput is meaningless. *)
 let explore_perf_section () =
-  Fmt.pr "@.== Exploration throughput: pruned engine vs reference ==@.@.";
+  Fmt.pr "@.== Exploration throughput: pruned engine vs spec ==@.@.";
   let smoke = Sys.getenv_opt "BENCH_EXPLORE_SMOKE" <> None in
   let rounds = if smoke then 3 else 9 in
   let workload = "deadlock-barrier" in
@@ -973,13 +973,11 @@ let explore_perf_section () =
     }
   in
   let cores = Domain.recommended_domain_count () in
-  let reference () =
-    Interp.Explore.outcomes_reference ~branch_depth ~budget ~config program
-  in
+  let spec () = Simspec.explore ~branch_depth ~budget ~config program in
   let pruned jobs () =
     Interp.Explore.outcomes ~branch_depth ~budget ~jobs ~config program
   in
-  let ref_summary = reference () in
+  let ref_summary = spec () in
   let counts (s : Interp.Explore.summary) =
     ( s.Interp.Explore.finished,
       s.Interp.Explore.aborted,
@@ -994,15 +992,15 @@ let explore_perf_section () =
       let s = pruned jobs () in
       if counts s <> counts ref_summary then
         Fmt.failwith
-          "explore: jobs:%d class counts differ from the reference" jobs)
+          "explore: jobs:%d class counts differ from the spec" jobs)
     job_counts;
   let p1 = pruned 1 () in
   Fmt.pr
     "workload: %s (%d ranks, depth %d) | %d schedule(s), %d replay(s) after \
-     pruning (reference: %d)@."
+     pruning (spec: %d)@."
     workload nranks branch_depth p1.Interp.Explore.runs
     p1.Interp.Explore.replays ref_summary.Interp.Explore.replays;
-  Fmt.pr "class counts at jobs 1/2/4: identical to the reference@.@.";
+  Fmt.pr "class counts at jobs 1/2/4: identical to the spec@.@.";
   let timed f =
     let samples =
       Array.init rounds (fun _ ->
@@ -1013,13 +1011,13 @@ let explore_perf_section () =
     in
     median samples
   in
-  let t_ref = timed reference in
+  let t_ref = timed spec in
   let runs = float_of_int p1.Interp.Explore.runs in
   let ref_rps = runs /. t_ref in
   Fmt.pr "%-12s | %10s | %12s | %9s | %s@." "engine" "time(ms)" "runs/sec"
     "speedup" "notes";
   Fmt.pr "%s@." (String.make 66 '-');
-  Fmt.pr "%-12s | %10.2f | %12.0f | %9s |@." "reference" (t_ref *. 1000.)
+  Fmt.pr "%-12s | %10.2f | %12.0f | %9s |@." "spec" (t_ref *. 1000.)
     ref_rps "1.00x";
   let results =
     List.map
@@ -1053,7 +1051,7 @@ let explore_perf_section () =
       \  \"cores\": %d,\n\
       \  \"identical_counts\": true,\n\
       \  \"runs_represented\": %d,\n\
-      \  \"reference\": { \"replays\": %d, \"seconds\": %.6f, \
+      \  \"spec\": { \"replays\": %d, \"seconds\": %.6f, \
        \"runs_per_sec\": %.0f },\n\
       \  \"runs\": [\n\
        %s\n\
@@ -1067,7 +1065,7 @@ let explore_perf_section () =
               Printf.sprintf
                 "    { \"jobs\": %d, \"replays\": %d, \"pruned\": %d, \
                  \"seconds\": %.6f, \"runs_per_sec\": %.0f, \
-                 \"speedup_vs_reference\": %.3f, \"oversubscribed\": %b }"
+                 \"speedup_vs_spec\": %.3f, \"oversubscribed\": %b }"
                 jobs p1.Interp.Explore.replays p1.Interp.Explore.pruned t rps
                 (rps /. ref_rps) oversubscribed)
             results))
@@ -1078,18 +1076,18 @@ let explore_perf_section () =
   Fmt.pr "@.wrote BENCH_explore.json@."
 
 (* ------------------------------------------------------------------ *)
-(* Interpreter throughput: compiled core vs reference tree-walker      *)
+(* Interpreter throughput: compiled core vs executable spec            *)
 (* ------------------------------------------------------------------ *)
 
 (* Steps/second of the compiled interpreter ([Sim.make] once +
-   [Sim.run_compiled]) against the reference AST walker
-   ([Sim.run_reference]) on every reproducer, plus the end-to-end effect
-   on exploration throughput at jobs:1.  The equality gate runs first:
-   both cores must produce identical outcomes, print traces and step
-   counts on every (program, schedule) pair, otherwise the timings are
+   [Sim.run_compiled]) against the executable spec's AST walker
+   ([Simspec.run]) on every reproducer, plus the end-to-end effect on
+   exploration throughput at jobs:1.  The equality gate runs first: both
+   must produce identical outcomes, print traces and step counts on
+   every (program, schedule) pair, otherwise the timings are
    meaningless. *)
 let interp_perf_section () =
-  Fmt.pr "@.== Interpreter throughput: compiled core vs reference ==@.@.";
+  Fmt.pr "@.== Interpreter throughput: compiled core vs spec ==@.@.";
   let smoke = Sys.getenv_opt "BENCH_INTERP_SMOKE" <> None in
   let rounds = if smoke then 3 else 9 in
   let iters = if smoke then 30 else 300 in
@@ -1118,11 +1116,14 @@ let interp_perf_section () =
       List.iter
         (fun schedule ->
           let cfg = config schedule true in
-          let reference = Interp.Sim.run_reference ~config:cfg program in
+          let spec = Simspec.run ~config:cfg program in
           let compiled = Interp.Sim.run ~config:cfg program in
-          if observe reference <> observe compiled then
+          if
+            (spec.Simspec.outcome, spec.Simspec.trace, spec.Simspec.steps)
+            <> observe compiled
+          then
             Fmt.failwith
-              "interp: %s: compiled core diverges from the reference \
+              "interp: %s: compiled core diverges from the spec \
                (outcome, trace or steps)"
               e.Benchsuite.Reproducers.name)
         gate_schedules)
@@ -1142,7 +1143,7 @@ let interp_perf_section () =
   in
   let cfg = config `Round_robin false in
   Fmt.pr "%-22s | %8s | %14s | %14s | %8s@." "workload" "steps"
-    "ref steps/s" "compiled st/s" "speedup";
+    "spec steps/s" "compiled st/s" "speedup";
   Fmt.pr "%s@." (String.make 78 '-');
   let per_entry =
     List.map
@@ -1156,7 +1157,7 @@ let interp_perf_section () =
         let t_ref =
           timed (fun () ->
               for _ = 1 to iters do
-                ignore (Interp.Sim.run_reference ~config:cfg program)
+                ignore (Simspec.run ~config:cfg program)
               done)
         in
         let t_cmp =
@@ -1184,34 +1185,36 @@ let interp_perf_section () =
   Fmt.pr "%s@." (String.make 78 '-');
   Fmt.pr "%-22s | %8d | %14.0f | %14.0f | %7.2fx@.@." "aggregate"
     (total_steps / iters) agg_ref agg_cmp agg_speedup;
-  (* End-to-end: the explorer at jobs:1 with each core.  Identical
-     summaries are part of the gate. *)
+  (* End-to-end: the pruned explorer at jobs:1 against the spec's
+     unpruned enumeration.  Identical per-class counts are part of the
+     gate. *)
   let workload = "deadlock-barrier" in
   let program = Benchsuite.Reproducers.load workload in
   let branch_depth = 10 in
   let budget = 100_000 in
-  let explore interp () =
-    Interp.Explore.outcomes ~branch_depth ~budget ~jobs:1 ~interp ~config:cfg
-      program
+  let explore_spec () = Simspec.explore ~branch_depth ~budget ~config:cfg program in
+  let explore_compiled () =
+    Interp.Explore.outcomes ~branch_depth ~budget ~jobs:1 ~config:cfg program
   in
-  let s_ref = explore `Reference () in
-  let s_cmp = explore `Compiled () in
-  if
-    not
-      (String.equal
-         (Interp.Explore.summary_to_string s_ref)
-         (Interp.Explore.summary_to_string s_cmp))
-  then
-    Fmt.failwith
-      "interp: exploration summaries differ between the two cores";
-  let t_exp_ref = timed (fun () -> ignore (explore `Reference ())) in
-  let t_exp_cmp = timed (fun () -> ignore (explore `Compiled ())) in
+  let counts (s : Interp.Explore.summary) =
+    ( s.Interp.Explore.finished,
+      s.Interp.Explore.aborted,
+      s.Interp.Explore.faulted,
+      s.Interp.Explore.deadlocked,
+      s.Interp.Explore.step_limited )
+  in
+  let s_ref = explore_spec () in
+  let s_cmp = explore_compiled () in
+  if counts s_ref <> counts s_cmp then
+    Fmt.failwith "interp: exploration class counts differ from the spec";
+  let t_exp_ref = timed (fun () -> ignore (explore_spec ())) in
+  let t_exp_cmp = timed (fun () -> ignore (explore_compiled ())) in
   let runs = float_of_int s_cmp.Interp.Explore.runs in
   let exp_ref_rps = runs /. t_exp_ref in
   let exp_cmp_rps = runs /. t_exp_cmp in
   Fmt.pr
-    "explore %s (depth %d, jobs:1): %.0f runs/s on the reference core, %.0f \
-     on the compiled core (%.2fx), identical summaries@."
+    "explore %s (depth %d, jobs:1): %.0f runs/s on the spec, %.0f on the \
+     compiled core (%.2fx), identical class counts@."
     workload branch_depth exp_ref_rps exp_cmp_rps (exp_cmp_rps /. exp_ref_rps);
   let json =
     Printf.sprintf
@@ -1224,11 +1227,11 @@ let interp_perf_section () =
       \  \"workloads\": [\n\
        %s\n\
       \  ],\n\
-      \  \"aggregate\": { \"ref_steps_per_sec\": %.0f, \
+      \  \"aggregate\": { \"spec_steps_per_sec\": %.0f, \
        \"compiled_steps_per_sec\": %.0f, \"speedup\": %.3f },\n\
       \  \"explore\": { \"workload\": %S, \"branch_depth\": %d, \"budget\": \
-       %d, \"jobs\": 1, \"identical_summaries\": true, \
-       \"ref_runs_per_sec\": %.0f, \"compiled_runs_per_sec\": %.0f, \
+       %d, \"jobs\": 1, \"identical_counts\": true, \
+       \"spec_runs_per_sec\": %.0f, \"compiled_runs_per_sec\": %.0f, \
        \"speedup\": %.3f }\n\
        }\n"
       smoke nranks iters
@@ -1237,8 +1240,8 @@ let interp_perf_section () =
             (fun (name, steps, t_ref, t_cmp, ref_sps, cmp_sps) ->
               Printf.sprintf
                 "    { \"workload\": %S, \"steps_per_run\": %d, \
-                 \"ref_seconds\": %.6f, \"compiled_seconds\": %.6f, \
-                 \"ref_steps_per_sec\": %.0f, \"compiled_steps_per_sec\": \
+                 \"spec_seconds\": %.6f, \"compiled_seconds\": %.6f, \
+                 \"spec_steps_per_sec\": %.0f, \"compiled_steps_per_sec\": \
                  %.0f, \"speedup\": %.3f }"
                 name steps t_ref t_cmp ref_sps cmp_sps (cmp_sps /. ref_sps))
             per_entry))
@@ -1760,12 +1763,13 @@ let requests_section () =
   Fmt.pr "@.wrote BENCH_requests.json@."
 
 (* ------------------------------------------------------------------ *)
-(* Dynamic partial-order reduction: replays vs BFS vs reference        *)
+(* Dynamic partial-order reduction: replays vs BFS vs spec             *)
 (* ------------------------------------------------------------------ *)
 
 (* Schedule-space reduction of the DPOR explorer.  The correctness gate
    runs first: on every reproducer the DPOR class set must cover the
-   brute-force reference's (one representative per Mazurkiewicz trace
+   executable spec's brute-force enumeration's (one representative per
+   Mazurkiewicz trace
    changes per-class counts, never reachability within its window), and
    on the deep racy-ring showcase DPOR must replay at least 10x fewer
    schedules than the fingerprint-pruned BFS at the same budget while
@@ -1793,31 +1797,31 @@ let dpor_section () =
     if s.Interp.Explore.runs <> s.Interp.Explore.replays + s.Interp.Explore.pruned
     then Fmt.failwith "dpor: %s: runs <> replays + pruned" name
   in
-  (* Gate 1: class coverage vs the reference on every reproducer. *)
+  (* Gate 1: class coverage vs the spec on every reproducer. *)
   let coverage_rows =
     List.map
       (fun (e : Benchsuite.Reproducers.entry) ->
         let program = Benchsuite.Reproducers.program e in
         let name = e.Benchsuite.Reproducers.name in
-        let reference =
-          Interp.Explore.outcomes_reference ~branch_depth:8 ~budget:200_000
-            ~config:(config 2) program
+        let spec =
+          Simspec.explore ~branch_depth:8 ~budget:200_000 ~config:(config 2)
+            program
         in
         let dpor =
           Interp.Explore.outcomes_dpor ~branch_depth:8 ~budget:200_000
             ~config:(config 2) program
         in
         check_invariant name dpor;
-        if not (covers (classes reference) (classes dpor)) then
-          Fmt.failwith "dpor: %s: misses a reference outcome class" name;
+        if not (covers (classes spec) (classes dpor)) then
+          Fmt.failwith "dpor: %s: misses a spec outcome class" name;
         ( name,
-          reference.Interp.Explore.replays,
+          spec.Interp.Explore.replays,
           dpor.Interp.Explore.replays,
           classes dpor ))
       Benchsuite.Reproducers.all
   in
   Fmt.pr
-    "coverage gate: DPOR covers the reference classes on every reproducer \
+    "coverage gate: DPOR covers the spec classes on every reproducer \
      (depth 8)@.@.";
   (* Gate 2 + timing: the racy-ring showcase at equal budgets. *)
   let ring = Benchsuite.Reproducers.load "racy-ring" in
@@ -1893,7 +1897,7 @@ let dpor_section () =
          (List.map
             (fun (name, ref_replays, dpor_replays, cls) ->
               Printf.sprintf
-                "    { \"name\": %S, \"reference_replays\": %d, \
+                "    { \"name\": %S, \"spec_replays\": %d, \
                  \"dpor_replays\": %d, \"classes\": [%s] }"
                 name ref_replays dpor_replays
                 (String.concat ", "
@@ -1904,7 +1908,7 @@ let dpor_section () =
             (fun (depth, d, b, t_d, t_b, reduction) ->
               Printf.sprintf
                 "    { \"branch_depth\": %d, \"dpor_replays\": %d, \
-                 \"bfs_replays\": %d, \"reference_runs\": %d, \
+                 \"bfs_replays\": %d, \"bfs_runs\": %d, \
                  \"reduction\": %.1f, \"dpor_seconds\": %.6f, \
                  \"bfs_seconds\": %.6f, \"dpor_classes\": [%s] }"
                 depth d.Interp.Explore.replays b.Interp.Explore.replays

@@ -290,6 +290,28 @@ let node_loc g id =
       stmt.Ast.sloc
   | Barrier_node { loc; _ } -> loc
 
+(* Kinds are immutable records: only the statement (and barrier
+   location) fields change, adjacency and ids are shared. *)
+let map_stmts ~stmt ~loc g =
+  let kind = function
+    | (Entry | Exit) as k -> k
+    | Simple ss -> Simple (List.map stmt ss)
+    | Cond c -> Cond { c with stmt = stmt c.stmt }
+    | Collective c -> Collective { c with stmt = stmt c.stmt }
+    | Call_site c -> Call_site { c with stmt = stmt c.stmt }
+    | Return_site r -> Return_site { stmt = stmt r.stmt }
+    | Omp_begin b -> Omp_begin { b with stmt = stmt b.stmt }
+    | Omp_end e -> Omp_end { e with stmt = stmt e.stmt }
+    | Barrier_node b -> Barrier_node { b with loc = loc b.loc }
+    | Check_site c -> Check_site { c with stmt = stmt c.stmt }
+  in
+  let nodes = Array.copy g.nodes in
+  for id = 0 to g.count - 1 do
+    let n = nodes.(id) in
+    nodes.(id) <- { n with kind = kind n.kind }
+  done;
+  { g with nodes }
+
 let kind_label g id =
   let open Minilang in
   match kind g id with

@@ -128,6 +128,17 @@ val is_frozen : t -> bool
 (** Source location a node can be reported at. *)
 val node_loc : t -> int -> Minilang.Loc.t
 
+(** [map_stmts ~stmt ~loc g] is a copy of [g] whose nodes reference
+    [stmt s] in place of each AST statement [s] and [loc l] in place of
+    each barrier location [l]: the same graph over a structurally equal
+    copy of the function.  Adjacency is shared with [g], so neither graph
+    may gain nodes or edges afterwards. *)
+val map_stmts :
+  stmt:(Minilang.Ast.stmt -> Minilang.Ast.stmt) ->
+  loc:(Minilang.Loc.t -> Minilang.Loc.t) ->
+  t ->
+  t
+
 (** Short label for DOT dumps and debugging. *)
 val kind_label : t -> int -> string
 

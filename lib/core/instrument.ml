@@ -41,17 +41,14 @@ type site_actions = {
   counters : int list;  (** Counter region ids wrapping the site. *)
 }
 
-(* Physical-identity association list: AST statements are unique in a
-   program, and the CFG references them without copying. *)
-let find_actions actions stmt =
-  List.find_opt (fun (s, _) -> s == stmt) actions |> Option.map snd
-
+(* Keyed by statement identity: AST statements are unique in a program,
+   and the CFG references them without copying. *)
 let add_action actions stmt f =
-  match List.find_opt (fun (s, _) -> s == stmt) !actions with
-  | Some (_, a) ->
-      actions :=
-        (stmt, f a) :: List.filter (fun (s, _) -> s != stmt) !actions
-  | None -> actions := (stmt, f { cc = None; counters = [] }) :: !actions
+  let a =
+    Option.value ~default:{ cc = None; counters = [] }
+      (Ast.Stmt_tbl.find_opt actions stmt)
+  in
+  Ast.Stmt_tbl.replace actions stmt (f a)
 
 let stmt_of_node g id =
   match Cfg.Graph.kind g id with
@@ -60,7 +57,7 @@ let stmt_of_node g id =
 
 let collect_actions ?(call_colors = []) (fr : Driver.func_report) mode =
   let g = fr.Driver.graph in
-  let actions = ref [] in
+  let actions = Ast.Stmt_tbl.create 16 in
   let coll_info id =
     match Cfg.Graph.kind g id with
     | Cfg.Graph.Collective { coll; _ } ->
@@ -120,7 +117,18 @@ let collect_actions ?(call_colors = []) (fr : Driver.func_report) mode =
                   { cc = Some info; counters = id :: a.counters })
           | None -> ())
         (Cfg.Graph.collective_nodes g));
-  !actions
+  actions
+
+(* Return CCs: on every function in exhaustive mode, on the functions with
+   some CC-checked site in selective mode. *)
+let needs_return_cc mode actions =
+  (match mode with Exhaustive -> true | Selective -> false)
+  || Ast.Stmt_tbl.fold (fun _ a acc -> acc || a.cc <> None) actions false
+
+let rec ends_with_return = function
+  | [] -> false
+  | [ s ] -> ( match s.Ast.sdesc with Ast.Return -> true | _ -> false)
+  | _ :: rest -> ends_with_return rest
 
 let cc_return_stmt loc =
   (* "As multiple threads may call CC before return statements, this
@@ -131,10 +139,7 @@ let cc_return_stmt loc =
 
 let instrument_func ?call_colors (fr : Driver.func_report) mode (func : Ast.func) =
   let actions = collect_actions ?call_colors fr mode in
-  let needs_return_cc =
-    (match mode with Exhaustive -> true | Selective -> false)
-    || List.exists (fun (_, a) -> a.cc <> None) actions
-  in
+  let needs_return_cc = needs_return_cc mode actions in
   let rec on_block block = List.concat_map on_stmt block
   and on_stmt s =
     let sdesc =
@@ -160,7 +165,7 @@ let instrument_func ?call_colors (fr : Driver.func_report) mode (func : Ast.func
     match s.Ast.sdesc with
     | Ast.Return when needs_return_cc -> [ cc_return_stmt s.Ast.sloc; s' ]
     | _ -> (
-        match find_actions actions s with
+        match Ast.Stmt_tbl.find_opt actions s with
         | None -> [ s' ]
         | Some a ->
             let loc = s.Ast.sloc in
@@ -189,11 +194,6 @@ let instrument_func ?call_colors (fr : Driver.func_report) mode (func : Ast.func
   in
   let body = on_block func.Ast.body in
   let body =
-    let rec ends_with_return = function
-      | [] -> false
-      | [ s ] -> ( match s.Ast.sdesc with Ast.Return -> true | _ -> false)
-      | _ :: rest -> ends_with_return rest
-    in
     if needs_return_cc && not (ends_with_return body) then
       body @ [ cc_return_stmt func.Ast.floc ]
     else body
@@ -223,16 +223,12 @@ let check_counts (report : Driver.report) mode =
   List.iter
     (fun fr ->
       let actions = collect_actions ~call_colors:report.Driver.call_colors fr mode in
-      List.iter
-        (fun (_, a) ->
+      Ast.Stmt_tbl.iter
+        (fun _ a ->
           if a.cc <> None then incr ccs;
           counters := !counters + List.length a.counters)
         actions;
-      let needs_return_cc =
-        (match mode with Exhaustive -> true | Selective -> false)
-        || List.exists (fun (_, a) -> a.cc <> None) actions
-      in
-      if needs_return_cc then begin
+      if needs_return_cc mode actions then begin
         (* One per return statement plus possibly one at the end. *)
         let func =
           List.find
@@ -243,11 +239,6 @@ let check_counts (report : Driver.report) mode =
           Ast.fold_stmts
             (fun n s -> match s.Ast.sdesc with Ast.Return -> n + 1 | _ -> n)
             0 func.Ast.body
-        in
-        let rec ends_with_return = function
-          | [] -> false
-          | [ s ] -> ( match s.Ast.sdesc with Ast.Return -> true | _ -> false)
-          | _ :: rest -> ends_with_return rest
         in
         let end_check = if ends_with_return func.Ast.body then 0 else 1 in
         returns := !returns + return_count + end_check

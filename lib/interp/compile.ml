@@ -1,8 +1,8 @@
 (** One-shot lowering of a validated [Ast.program] into the resolved form
     the simulator executes ({!Sim.run_compiled}).
 
-    The lowering resolves, once per program, everything the reference
-    tree-walker recomputes on every step of every replay:
+    The lowering resolves, once per program, everything a tree-walking
+    interpreter would recompute on every step of every replay:
 
     - {b Variables} become integer slots in per-frame [int array]s.  Scope
       analysis runs here: a fresh frame level opens per function
@@ -13,22 +13,23 @@
       declarations inside the parallel body land in the member's own
       frame.  Privatized variables (loop indices, [reduction] private
       copies) get fresh slots.
-    - {b Sites and uids} ([Loc.to_string], the canonical statement
-      numbering of [Sim.stmt_ids], pre-rendered CC-check site strings) are
-      computed exactly once, never per replay.
+    - {b Sites and uids} ([Loc.to_string], a canonical statement
+      numbering in AST order — stable across schedules, so fingerprints of
+      different runs compare — and pre-rendered CC-check site strings)
+      are computed exactly once, never per replay.
     - {b Callees, collective descriptors and reduction operators} are
       resolved to direct pointers/values; call errors (unknown function,
       arity) become pre-rendered error statements so dead code still
-      fails only when executed, like the reference.
+      fails only when executed.
     - {b Expressions} are closure-compiled: evaluation does no constructor
       dispatch on [Ast.expr].
 
-    Fingerprint parity: alongside each program point the lowering stores
-    the *hash ingredients* the reference interpreter derives dynamically —
-    per-suffix block hashes, sorted scope descriptors replaying
-    [Env.StringMap]'s fold order, [Hashtbl.hash]es of loop variables,
-    critical names, while-conditions and reduce ops — so compiled runs
-    produce bit-identical state fingerprints (see docs/PERFORMANCE.md). *)
+    Fingerprint ingredients: alongside each program point the lowering
+    stores what the state fingerprint folds over — per-suffix block
+    hashes, scope descriptors sorted by variable name, [Hashtbl.hash]es
+    of loop variables, critical names, while-conditions and reduce ops —
+    so hashing a state does no per-step string work (see
+    docs/PERFORMANCE.md). *)
 
 open Minilang
 
@@ -52,7 +53,7 @@ let child_frame ?(fid = -1) ~parent nslots =
 let rec up fr n = if n <= 0 then fr else up fr.up (n - 1)
 
 (** A resolved storage location: collective result cells, reduction
-    accumulators.  Plays the role of [Env.cell] in the compiled core. *)
+    accumulators, request buffers. *)
 type loc = { l_frame : frame; l_slot : int }
 
 let read_loc l = l.l_frame.slots.(l.l_slot)
@@ -64,8 +65,7 @@ let write_loc l v = l.l_frame.slots.(l.l_slot) <- v
 type ectx = { e_rank : int; e_tid : int; e_nthreads : int; e_nranks : int }
 
 (** Raised by compiled code on evaluation errors; the driver converts it
-    to [Fault (Eval_error _)] at the same boundary where the reference
-    interpreter raises its abort exception. *)
+    to [Fault (Eval_error _)], ending the run. *)
 exception Error of { rank : int; site : string; message : string }
 
 let error ec site fmt =
@@ -81,13 +81,13 @@ type exprc = ectx -> frame -> int
 type vref = { v_hops : int; v_slot : int }
 
 (** A reference that may be statically unbound: the error fires at
-    execution time (with the reference interpreter's message), not at
-    compile time, so unreached code stays harmless. *)
+    execution time ("unbound variable"), not at compile time, so
+    unreached code stays harmless. *)
 type cell_ref = CRef of vref | CUnbound of string
 
-(** One visible binding at a program point, pre-hashed for fingerprints:
-    entries are sorted by variable name so iterating them replays
-    [Env.StringMap.fold]'s ascending key order exactly. *)
+(** One visible binding at a program point, pre-hashed for fingerprints;
+    a scope lists its entries in ascending variable-name order, so the
+    hash does not depend on declaration order. *)
 type scope_entry = { se_nhash : int; se_hops : int; se_slot : int }
 
 type scope = scope_entry array
@@ -104,8 +104,7 @@ type access = { a_name : string; a_hops : int; a_slot : int; a_write : bool }
 (* Compiled program form                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Head hash of the empty block suffix; must equal the reference's
-   [block_hash ids []]. *)
+(* Head hash of the empty block suffix. *)
 let empty_suffix_hash = 0x27d4eb2f
 
 type cstmt = { uid : int; site : string; acc : access array; desc : cdesc }
@@ -114,8 +113,8 @@ and cblock = {
   stmts : cstmt array;
   bhash : int array;
       (** [n + 1] entries: [bhash.(i)] identifies the suffix starting at
-          statement [i] (the reference hashes a block by its head
-          statement's canonical uid); entry [n] is the empty suffix. *)
+          statement [i] by its head statement's canonical uid); entry [n]
+          is the empty suffix. *)
   scopes : scope array;
       (** [n + 1] entries: visible bindings before statement [i].
           Positions not following a declaration share the same physical
@@ -126,8 +125,8 @@ and cdesc =
   | CDecl of int * exprc  (** Write the initializer into a fresh slot. *)
   | CAssign of vref * exprc
   | CAssign_unbound of string * exprc
-      (** Evaluate the value, then fail — the reference evaluates before
-          the unbound check. *)
+      (** Evaluate the value, then fail: evaluation errors of the value
+          come before the unbound check. *)
   | CIf of exprc * cblock * cblock
   | CWhile of {
       cond : exprc;
@@ -139,8 +138,7 @@ and cdesc =
               evaluation). *)
       body : cblock;
     }
-      (** [chash] pre-hashes the AST condition (fingerprint parity with
-          the reference's [Hashtbl.hash c]). *)
+      (** [chash] pre-hashes the AST condition ([Hashtbl.hash c]). *)
   | CFor of {
       slot : int;
       vhash : int;
@@ -262,8 +260,8 @@ let find_var cenv x =
 let cell_of cenv x =
   match find_var cenv x with Some vr -> CRef vr | None -> CUnbound x
 
-(* [Map.bindings] is ascending by key — the same order the reference's
-   [Env.StringMap.fold] hashes environments in. *)
+(* [SMap.fold] visits bindings in ascending key order, the order a
+   scope's fingerprint folds its entries in. *)
 let scope_of cenv : scope =
   let entries =
     SMap.fold
@@ -282,9 +280,8 @@ let scope_of cenv : scope =
 (* Expression compilation                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Mirrors [Sim]'s reference [eval] exactly: left operand first,
-   short-circuit [&&]/[||] normalising to 0/1 via [min 1 (abs _)],
-   division/modulo checks after both operands, identical messages. *)
+(* Left operand first, short-circuit [&&]/[||] normalising to 0/1 via
+   [min 1 (abs _)], division/modulo checks after both operands. *)
 let rec compile_expr cenv ~site (e : Ast.expr) : exprc =
   match e with
   | Ast.Int n -> fun _ _ -> n
@@ -370,8 +367,7 @@ let compile_root cenv ~site e =
     else r
 
 (* Payload compiled separately from root; the executor evaluates payload
-   first, then root — the order the reference's labelled-argument call
-   evaluates them in. *)
+   first, then root. *)
 let compile_coll cenv ~site (c : Ast.collective) : ccoll =
   let ev e = compile_expr cenv ~site e in
   let root e = Some (compile_root cenv ~site e) in
@@ -453,11 +449,10 @@ type ctx = {
   resolve : string -> cfunc option;
 }
 
-(* Canonical uids, assigned in the same [fold_stmts] order (statement
-   before its sub-blocks; [If] then-branch first; sections in order; dedup
-   on physical identity) as [Sim.stmt_ids] — the two tables agree on every
-   statement, which keeps [single]-arbitration keys and fingerprints
-   identical across interpreters. *)
+(* Canonical uids, assigned in [fold_stmts] order (statement before its
+   sub-blocks; [If] then-branch first; sections in order; dedup on
+   physical identity): independent of the schedule, which keeps
+   [single]-arbitration keys and fingerprints comparable across runs. *)
 let uid_of ctx (s : Ast.stmt) =
   match Ast.Stmt_tbl.find_opt ctx.uids s with
   | Some u -> u
@@ -496,7 +491,7 @@ let rec compile_stmt ctx cenv (s : Ast.stmt) : cstmt * cenv =
       let bf = compile_block ctx cenv bf in
       ret ~acc:(racc [ c ]) (CIf (cond, bt, bf))
   | Ast.While (c, body) ->
-      (* The reference evaluates loop conditions at site "<while>". *)
+      (* Loop conditions evaluate at site "<while>". *)
       let cond = compile_expr cenv ~site:"<while>" c in
       let cacc = racc [ c ] in
       ret ~acc:cacc
@@ -703,14 +698,13 @@ let lower (program : Ast.program) : t =
   in
   (* Two passes: records first so call sites (including mutual recursion)
      resolve to their callee directly; bodies second, in program order so
-     canonical uids match [Sim.stmt_ids]. *)
+     canonical uids follow [fold_stmts] order. *)
   List.iter
     (fun ((f : Ast.func), cf) ->
       let counter = ref 0 in
       let cenv = { vars = SMap.empty; level = 0; counter } in
       (* Parameters take slots 0..n-1, in declaration order (duplicates
-         keep distinct slots; the last binding wins, as in the
-         reference's left fold of [Env.declare]). *)
+         keep distinct slots; the last binding wins). *)
       let cenv =
         List.fold_left
           (fun ce p ->

@@ -6,10 +6,9 @@
     uids, resolved callees and pre-translated collective/reduction
     descriptors, and expressions are closure-compiled.  Alongside each
     program point the lowering stores the hash ingredients (suffix hashes,
-    sorted scope descriptors, pre-hashed names/conditions/operators) that
-    make compiled state fingerprints bit-identical to the reference
-    interpreter's — see docs/PERFORMANCE.md, "The compiled interpreter
-    core". *)
+    sorted scope descriptors, pre-hashed names/conditions/operators) the
+    state fingerprints fold over — see docs/PERFORMANCE.md, "The compiled
+    interpreter core". *)
 
 (** One level of mutable variable storage; [up] is the lexically enclosing
     frame (root frames point at a dummy).  [fid] is a per-run frame
@@ -28,7 +27,7 @@ val child_frame : ?fid:int -> parent:frame -> int -> frame
 (** [up fr n] walks [n] levels up the frame chain. *)
 val up : frame -> int -> frame
 
-(** A resolved storage location (the compiled core's [Env.cell]). *)
+(** A resolved storage location (a variable's cell). *)
 type loc = { l_frame : frame; l_slot : int }
 
 val read_loc : loc -> int
@@ -47,11 +46,11 @@ type exprc = ectx -> frame -> int
 type vref = { v_hops : int; v_slot : int }
 
 (** A variable reference that may be statically unbound; the error fires
-    at execution time, like the reference interpreter's. *)
+    at execution time. *)
 type cell_ref = CRef of vref | CUnbound of string
 
 (** One visible binding, pre-hashed; scope arrays are sorted by variable
-    name to replay [Env.StringMap.fold]'s order. *)
+    name, so the hash does not depend on declaration order. *)
 type scope_entry = { se_nhash : int; se_hops : int; se_slot : int }
 
 type scope = scope_entry array

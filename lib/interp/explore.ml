@@ -109,7 +109,7 @@ let script_of node =
     branching degree at the first unscripted step. *)
 type replay_info = { r_cls : int; r_fp : int option; r_degree : int }
 
-let replay_node ~probe ~(config : Sim.config) ~runner node =
+let replay_node ~probe ~(config : Sim.config) cp node =
   let config =
     (* Exploration never reads the print trace; recording it would
        allocate on every run. *)
@@ -119,7 +119,7 @@ let replay_node ~probe ~(config : Sim.config) ~runner node =
       Sim.record_trace = false;
     }
   in
-  let result : Sim.result = runner ~config ~probe in
+  let result = Sim.run_compiled ~config ~probe cp in
   let stats = result.Sim.stats in
   let r_fp =
     if Sim.probe_recorded probe > node.depth then
@@ -136,39 +136,27 @@ let replay_node ~probe ~(config : Sim.config) ~runner node =
 (* The engine                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** [outcomes ?branch_depth ?budget ?jobs ?interp ~config program]
-    explores the prefix tree breadth-first, replaying at most [budget]
-    schedules (pruned subtrees are credited, not replayed, so [runs] may
-    exceed [budget]) and branching over the first [branch_depth] choices.
-    [config.schedule] is ignored (every run is scripted).  [interp]
-    selects the interpreter core: [`Compiled] (default) lowers the
-    program once with [Sim.make] and every replay — on every worker
-    domain — executes the shared compiled form; [`Reference] replays
-    with the AST tree-walker (the equivalence oracle and bench
-    baseline). *)
+(** [outcomes ?branch_depth ?budget ?jobs ~config program] explores the
+    prefix tree breadth-first, replaying at most [budget] schedules
+    (pruned subtrees are credited, not replayed, so [runs] may exceed
+    [budget]) and branching over the first [branch_depth] choices.
+    [config.schedule] is ignored (every run is scripted).  The program
+    is lowered once with [Sim.make] and every replay — on every worker
+    domain — executes the shared compiled form. *)
 let outcomes ?(branch_depth = 8) ?(budget = 2000) ?(jobs = 1)
-    ?(interp = `Compiled) ~(config : Sim.config) program =
+    ~(config : Sim.config) program =
   if branch_depth < 0 then
     invalid_arg "Explore.outcomes: branch_depth must be >= 0";
   if budget < 0 then invalid_arg "Explore.outcomes: budget must be >= 0";
   if jobs < 1 then invalid_arg "Explore.outcomes: jobs must be >= 1";
-  let runner =
-    match interp with
-    | `Compiled ->
-        (* Compile once, before the pool starts: the compiled form is
-           immutable and the pool's job queue gives the happens-before
-           edge, so sharing it is race-free. *)
-        let cp = Sim.make program in
-        fun ~config ~probe -> Sim.run_compiled ~config ~probe cp
-    | `Reference -> fun ~config ~probe -> Sim.run_reference ~config ~probe program
-  in
-  let ids = Sim.stmt_ids program in
+  (* Compile once, before the pool starts: the compiled form is immutable
+     and the pool's job queue gives the happens-before edge, so sharing it
+     is race-free. *)
+  let cp = Sim.make program in
   (* One reusable probe per worker: the fingerprint buffer is allocated
      once and amortised over every replay the worker performs. *)
   let width = Conc.Pool.width ~jobs budget in
-  let probes =
-    Array.init width (fun _ -> Sim.make_probe ~depth:branch_depth ~ids)
-  in
+  let probes = Array.init width (fun _ -> Sim.make_probe ~depth:branch_depth) in
   let next_id = ref 0 in
   let mk ~parent ~choice ~depth =
     let n =
@@ -199,7 +187,7 @@ let outcomes ?(branch_depth = 8) ?(budget = 2000) ?(jobs = 1)
        exploration state. *)
     Conc.Pool.parallel_for ?pool ~jobs:width to_replay (fun ~worker i ->
         infos.(i) <-
-          Some (replay_node ~probe:probes.(worker) ~config ~runner fr.(i)));
+          Some (replay_node ~probe:probes.(worker) ~config cp fr.(i)));
     (* Coordinator: everything below is sequential and in frontier
        order, so memo decisions, witnesses and child order are
        independent of how workers interleaved. *)
@@ -286,71 +274,6 @@ let outcomes ?(branch_depth = 8) ?(budget = 2000) ?(jobs = 1)
   }
 
 (* ------------------------------------------------------------------ *)
-(* Reference engine                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(** The original depth-first, unpruned, sequential enumeration, kept as
-    the baseline the bench compares against and as the oracle for the
-    equivalence properties in the tests.  Runs the reference interpreter
-    ([Sim.run_reference]), so comparing it against [outcomes] also
-    cross-checks the two interpreter cores.  One replay per represented
-    run: [replays = runs], [pruned = 0]. *)
-let outcomes_reference ?(branch_depth = 8) ?(budget = 2000)
-    ~(config : Sim.config) program =
-  let summary =
-    ref
-      {
-        finished = 0;
-        aborted = 0;
-        faulted = 0;
-        deadlocked = 0;
-        step_limited = 0;
-        runs = 0;
-        replays = 0;
-        pruned = 0;
-        witnesses = [];
-        dpor = None;
-      }
-  in
-  let record script (o : Sim.outcome) =
-    let s = !summary in
-    let s =
-      match o with
-      | Sim.Finished -> { s with finished = s.finished + 1 }
-      | Sim.Aborted _ -> { s with aborted = s.aborted + 1 }
-      | Sim.Fault _ -> { s with faulted = s.faulted + 1 }
-      | Sim.Deadlock _ -> { s with deadlocked = s.deadlocked + 1 }
-      | Sim.Step_limit -> { s with step_limited = s.step_limited + 1 }
-    in
-    let name = class_name o in
-    let s =
-      if List.mem_assoc name s.witnesses then s
-      else { s with witnesses = (name, script) :: s.witnesses }
-    in
-    summary := { s with runs = s.runs + 1; replays = s.replays + 1 }
-  in
-  let budget_left = ref budget in
-  let rec explore prefix =
-    if !budget_left > 0 then begin
-      decr budget_left;
-      let cfg = { config with Sim.schedule = `Scripted prefix } in
-      let result = Sim.run_reference ~config:cfg program in
-      record prefix result.Sim.outcome;
-      let depth = List.length prefix in
-      if depth < branch_depth && depth < result.Sim.stats.Sim.ndegrees then begin
-        (* Branching degree at the first unscripted step of this run. *)
-        let d = result.Sim.stats.Sim.degrees.(depth) in
-        if d > 1 then
-          for c = 1 to d - 1 do
-            explore (prefix @ [ c ])
-          done
-      end
-    end
-  in
-  explore [];
-  { !summary with witnesses = List.rev !summary.witnesses }
-
-(* ------------------------------------------------------------------ *)
 (* DPOR engine                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -405,12 +328,11 @@ let outcomes_dpor ?(branch_depth = 8) ?(budget = 2000) ?(jobs = 1)
   if budget < 0 then invalid_arg "Explore.outcomes_dpor: budget must be >= 0";
   if jobs < 1 then invalid_arg "Explore.outcomes_dpor: jobs must be >= 1";
   let cp = Sim.make program in
-  let ids = Sim.stmt_ids program in
   (* Recording continues well past [branch_depth]: a racing pair's
      second access often falls beyond the last branchable step, and the
      fatal-step rule (below) must see the aborting step wherever it
      lands.  Racing-pair backtracks still diverge only below
-     [branch_depth] — the window the reference/BFS engines enumerate —
+     [branch_depth] — the window the BFS engine enumerates —
      but fatal-step backtracks may diverge anywhere in the recording
      window: their fan-out is one node per delay, not one per racing
      pair, so they deepen coverage without the combinatorial blow-up. *)
@@ -421,7 +343,7 @@ let outcomes_dpor ?(branch_depth = 8) ?(budget = 2000) ?(jobs = 1)
      divergence depth every commuting order of delays would be
      re-analyzed instead of collapsing in the memo table. *)
   let width = Conc.Pool.width ~jobs budget in
-  let probes = Array.init width (fun _ -> Sim.make_probe ~depth:window ~ids) in
+  let probes = Array.init width (fun _ -> Sim.make_probe ~depth:window) in
   let replay probe (job : djob) =
     let config =
       {

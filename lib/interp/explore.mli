@@ -7,12 +7,13 @@
     {!outcomes} prunes with state fingerprints (prefixes converging to
     the same simulator state are explored once, their subtree counts
     credited) and can replay each breadth-first wave on OCaml 5 domains;
-    the summary is byte-identical whatever [jobs] is.
-    {!outcomes_reference} is the original unpruned depth-first engine,
-    kept as baseline and test oracle.  {!outcomes_dpor} replaces
-    prefix enumeration with dynamic partial-order reduction: one
-    representative schedule per Mazurkiewicz trace, backtracking only at
-    racing steps. *)
+    the summary is byte-identical whatever [jobs] is.  {!outcomes_dpor}
+    replaces prefix enumeration with dynamic partial-order reduction:
+    one representative schedule per Mazurkiewicz trace, backtracking
+    only at racing steps.  Both are checked against the unpruned
+    depth-first enumeration of the test-only executable specification
+    ([simspec]): the same per-class counts for {!outcomes}, a superset
+    of its classes for {!outcomes_dpor}. *)
 
 (** Accounting specific to {!outcomes_dpor}. *)
 type dpor_stats = {
@@ -38,8 +39,8 @@ type summary = {
   pruned : int;
       (** Runs represented without a replay: fingerprint-credited
           subtrees in {!outcomes}, sleep-set suppressions in
-          {!outcomes_dpor}, [0] in {!outcomes_reference}.  {b Invariant}
-          (every mode): [runs = replays + pruned]. *)
+          {!outcomes_dpor}.  {b Invariant} (both modes):
+          [runs = replays + pruned]. *)
   witnesses : (string * int list) list;
       (** First witness script observed per class name, in observation
           order. *)
@@ -53,10 +54,8 @@ val class_name : Sim.outcome -> string
     [budget] schedules ([runs] may exceed [budget] thanks to pruning)
     and branching over the first [branch_depth] choices; wave replays
     run on up to [jobs] domains (at most one per core), from one
-    {!Conc.Pool} created per call.  [interp] selects the interpreter core:
-    [`Compiled] (default) lowers the program once and shares the
-    immutable compiled form across all workers, [`Reference] replays
-    with the AST tree-walker.  Both produce the same summary.
+    {!Conc.Pool} created per call; the program is lowered once and the
+    immutable compiled form is shared by every worker.
     [config.schedule] is ignored.
     @raise Invalid_argument if [branch_depth < 0], [budget < 0] or
     [jobs < 1]. *)
@@ -64,17 +63,6 @@ val outcomes :
   ?branch_depth:int ->
   ?budget:int ->
   ?jobs:int ->
-  ?interp:[ `Compiled | `Reference ] ->
-  config:Sim.config ->
-  Minilang.Ast.program ->
-  summary
-
-(** The original unpruned sequential depth-first enumeration, on the
-    reference interpreter ([Sim.run_reference]): one replay per run
-    ([replays = runs], [pruned = 0]), budget bounds runs. *)
-val outcomes_reference :
-  ?branch_depth:int ->
-  ?budget:int ->
   config:Sim.config ->
   Minilang.Ast.program ->
   summary
@@ -94,7 +82,7 @@ val outcomes_reference :
     are representative counts, not schedule-tree counts; [pruned] counts
     sleep-set suppressions and the invariant [runs = replays + pruned]
     holds.  The contract on classes is {e coverage}: every outcome class
-    {!outcomes_reference} reaches within its divergence window is also
+    an unpruned enumeration reaches within its divergence window is also
     reached, provided the racing steps lie inside the recording window
     ([branch_depth + 32] steps — size [branch_depth] to the interesting
     prefix); the deep fatal-step rule routinely reaches {e more} classes

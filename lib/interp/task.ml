@@ -1,42 +1,50 @@
 (** Tasks: one per MPI rank initially, plus one per thread forked at each
-    [parallel] construct.  A task carries a continuation stack; the
-    scheduler advances one task by one small step at a time, which makes
-    thread interleavings (and the bugs that depend on them) schedulable and
-    reproducible.
+    [parallel] construct.  A task carries a continuation stack over the
+    compiled program form ({!Compile}); the scheduler advances one task by
+    one small step at a time, which makes thread interleavings (and the
+    bugs that depend on them) schedulable and reproducible. *)
 
-    The record is polymorphic in the continuation type ['k] and the
-    result-cell type ['c] so the same scheduling state (status,
-    single-nesting depth, encounter counters, team membership) is shared
-    by the two interpreter cores: the reference tree-walker instantiates
-    it at [(Task.kont, Env.cell) t] while the compiled core uses its own
-    continuation type and slot locations ([(Sim.ckont, Compile.loc) t]). *)
-
-type kont =
-  | Kseq of Minilang.Ast.block * Env.t
-      (** Remaining statements of a block with their environment. *)
-  | Kwhile of Minilang.Ast.expr * Minilang.Ast.block * Env.t
-  | Kfor of {
-      var : string;
+(** Continuations over compiled blocks: a [CKseq] is a program counter
+    into a statement array (advancing allocates nothing); loops carry
+    their pre-compiled bodies, pre-hashed names/operators and the scope
+    descriptor their state fingerprint folds over. *)
+type ckont =
+  | CKseq of { code : Compile.cblock; mutable pc : int; frame : Compile.frame }
+  | CKwhile of {
+      cond : Compile.exprc;
+      chash : int;
+      scope : Compile.scope;
+      cacc : Compile.access array;
+      wsite : string;  (** The while statement's source site. *)
+      body : Compile.cblock;
+      frame : Compile.frame;
+    }
+  | CKfor of {
+      slot : int;
+      vhash : int;
       mutable current : int;
       stop : int;
-      body : Minilang.Ast.block;
-      env : Env.t;
+      scope : Compile.scope;
+      body : Compile.cblock;
+      frame : Compile.frame;
     }  (** Counted loop; also used for a thread's chunk of an [omp for]. *)
-  | Kcall_return  (** Function frame marker popped by [return]. *)
-  | Kenter_single
+  | CKcall_return  (** Function frame marker popped by [return]. *)
+  | CKenter_single
       (** Increment the single-nesting depth (executor entering a
           [single]/[master] body or a [section]). *)
-  | Kexit_single of { team : Ompsim.Team.t option; nowait : bool }
+  | CKexit_single of { team : Ompsim.Team.t option; nowait : bool }
       (** Decrement the depth; with a team and not [nowait], take part in
           the construct's implicit barrier. *)
-  | Kexit_ws of { team : Ompsim.Team.t option; nowait : bool }
+  | CKexit_ws of { team : Ompsim.Team.t option; nowait : bool }
       (** End of a worksharing construct ([for]/[sections]): implicit
           barrier unless [nowait]. *)
-  | Kcritical_end of string  (** Release the named critical lock. *)
-  | Kreduce_combine of {
+  | CKcritical_end of { name : string; nhash : int }
+      (** Release the named critical lock. *)
+  | CKreduce_combine of {
       op : Minilang.Ast.reduce_op;
-      shared : Env.cell;
-      private_ : Env.cell;
+      ophash : int;
+      shared : Compile.loc;
+      private_ : Compile.loc;
     }
       (** End of a thread's chunk of a [reduction] worksharing loop:
           fold the private accumulator into the shared variable. *)
@@ -56,17 +64,17 @@ type block_reason =
 
 type status = Runnable | Blocked of block_reason | Finished
 
-type ('k, 'c) t = {
+type t = {
   id : int;  (** Cookie used by the engine, barriers and locks. *)
   rank : int;
   tid : int;  (** Thread number in the innermost team (0 if sequential). *)
   team : Ompsim.Team.t option;
-  mutable konts : 'k list;
+  mutable konts : ckont list;
   mutable status : status;
   mutable single_depth : int;
       (** Number of enclosing single-threaded bodies this task is currently
           executing as the designated thread. *)
-  mutable wait_cell : 'c option;
+  mutable wait_cell : Compile.loc option;
       (** Cell to store a collective result into upon release. *)
   encounters : (int, int) Hashtbl.t;
       (** Per-construct dynamic instance counters (for [single]

@@ -1,35 +1,53 @@
-(** Tasks: one per MPI rank, plus one per thread forked at each
-    [parallel] construct.  A task carries a continuation stack; the
-    scheduler advances one task by one small step at a time.
+(** Tasks: one per MPI rank initially, plus one per thread forked at each
+    [parallel] construct.  A task carries a continuation stack over the
+    compiled program form ({!Compile}); the scheduler advances one task by
+    one small step at a time, which makes thread interleavings (and the
+    bugs that depend on them) schedulable and reproducible. *)
 
-    [('k, 'c) t] is polymorphic in the continuation type ['k] and the
-    collective result-cell type ['c]: the reference tree-walker uses
-    [(kont, Env.cell) t]; the compiled core (see {!Compile} and
-    {!Sim.run_compiled}) instantiates its own continuation and slot
-    location types.  The scheduling state (status, block reasons,
-    encounter counters) stays monomorphic so fingerprint ingredients are
-    shared verbatim by both interpreters. *)
-
-type kont =
-  | Kseq of Minilang.Ast.block * Env.t
-  | Kwhile of Minilang.Ast.expr * Minilang.Ast.block * Env.t
-  | Kfor of {
-      var : string;
+(** Continuations over compiled blocks: a [CKseq] is a program counter
+    into a statement array (advancing allocates nothing); loops carry
+    their pre-compiled bodies, pre-hashed names/operators and the scope
+    descriptor their state fingerprint folds over. *)
+type ckont =
+  | CKseq of { code : Compile.cblock; mutable pc : int; frame : Compile.frame }
+  | CKwhile of {
+      cond : Compile.exprc;
+      chash : int;
+      scope : Compile.scope;
+      cacc : Compile.access array;
+      wsite : string;  (** The while statement's source site. *)
+      body : Compile.cblock;
+      frame : Compile.frame;
+    }
+  | CKfor of {
+      slot : int;
+      vhash : int;
       mutable current : int;
       stop : int;
-      body : Minilang.Ast.block;
-      env : Env.t;
-    }
-  | Kcall_return
-  | Kenter_single
-  | Kexit_single of { team : Ompsim.Team.t option; nowait : bool }
-  | Kexit_ws of { team : Ompsim.Team.t option; nowait : bool }
-  | Kcritical_end of string
-  | Kreduce_combine of {
+      scope : Compile.scope;
+      body : Compile.cblock;
+      frame : Compile.frame;
+    }  (** Counted loop; also used for a thread's chunk of an [omp for]. *)
+  | CKcall_return  (** Function frame marker popped by [return]. *)
+  | CKenter_single
+      (** Increment the single-nesting depth (executor entering a
+          [single]/[master] body or a [section]). *)
+  | CKexit_single of { team : Ompsim.Team.t option; nowait : bool }
+      (** Decrement the depth; with a team and not [nowait], take part in
+          the construct's implicit barrier. *)
+  | CKexit_ws of { team : Ompsim.Team.t option; nowait : bool }
+      (** End of a worksharing construct ([for]/[sections]): implicit
+          barrier unless [nowait]. *)
+  | CKcritical_end of { name : string; nhash : int }
+      (** Release the named critical lock. *)
+  | CKreduce_combine of {
       op : Minilang.Ast.reduce_op;
-      shared : Env.cell;
-      private_ : Env.cell;
+      ophash : int;
+      shared : Compile.loc;
+      private_ : Compile.loc;
     }
+      (** End of a thread's chunk of a [reduction] worksharing loop:
+          fold the private accumulator into the shared variable. *)
 
 type block_reason =
   | At_collective of { site : string; coll : string }
@@ -42,15 +60,15 @@ type block_reason =
 
 type status = Runnable | Blocked of block_reason | Finished
 
-type ('k, 'c) t = {
+type t = {
   id : int;  (** Cookie used by the engine, barriers and locks. *)
   rank : int;
   tid : int;
   team : Ompsim.Team.t option;
-  mutable konts : 'k list;
+  mutable konts : ckont list;
   mutable status : status;
   mutable single_depth : int;
-  mutable wait_cell : 'c option;
+  mutable wait_cell : Compile.loc option;
   encounters : (int, int) Hashtbl.t;
 }
 
@@ -59,15 +77,15 @@ val make :
   rank:int ->
   tid:int ->
   team:Ompsim.Team.t option ->
-  konts:'k list ->
-  ('k, 'c) t
+  konts:ckont list ->
+  t
 
 (** Next dynamic instance index of construct [uid] for this task. *)
-val next_instance : ('k, 'c) t -> int -> int
+val next_instance : t -> int -> int
 
-val team_size : ('k, 'c) t -> int
+val team_size : t -> int
 
-val is_runnable : ('k, 'c) t -> bool
+val is_runnable : t -> bool
 
 (** Hash of the scheduling status (fingerprint ingredient). *)
 val status_hash : status -> int
@@ -76,8 +94,6 @@ val status_hash : status -> int
     (fingerprint ingredient): commutative over entries, so schedules that
     filled the table in different orders but reached the same counts hash
     alike. *)
-val encounters_hash : ('k, 'c) t -> int
+val encounters_hash : t -> int
 
-val describe_block_reason : block_reason -> string
-
-val describe : ('k, 'c) t -> string
+val describe : t -> string

@@ -175,10 +175,11 @@ let analyze_source t ?(options = Parcoach.Driver.default_options) ?jobs
           in
           (* Summary-cache lookups: a hit must be structurally equal (the
              digest-collision guard) and is relocated onto the fresh
-             function's source layout so the merged report is
-             byte-identical to a cold run.  A relocated summary is written
-             back so repeated requests at a stable layout skip the
-             relocation pass entirely. *)
+             function (source layout and statements) so the merged report
+             is byte-identical to a cold run.  A relocated summary is
+             written back, paired with the fresh function: the chunk cache
+             hands the same function AST to later requests at that layout,
+             which then reuse the summary as it is. *)
           let cached = Hashtbl.create (List.length keys) in
           List.iter
             (fun (f, key) ->

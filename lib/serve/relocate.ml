@@ -3,9 +3,6 @@
 
 open Minilang
 
-let locs_of (f : Ast.func) =
-  f.Ast.floc :: List.map (fun s -> s.Ast.sloc) (Ast.stmts_of_func f)
-
 let reloc_kind reloc (k : Parcoach.Warning.kind) =
   match k with
   | Parcoach.Warning.Multithreaded_collective _
@@ -42,18 +39,38 @@ let reloc_kind reloc (k : Parcoach.Warning.kind) =
           conds = List.map reloc m.conds;
         }
 
-let func_report ~cached ~fresh (fr : Parcoach.Driver.func_report) =
-  if not (Ast.equal_func cached fresh) then
-    invalid_arg "Relocate.func_report: functions differ structurally";
-  let old_locs = locs_of cached and new_locs = locs_of fresh in
-  if List.for_all2 Loc.equal old_locs new_locs then fr
+let relocate ~cached ~fresh (fr : Parcoach.Driver.func_report) =
+  (* Both functions' statements, last first: the lists correspond 1:1
+     (the functions are structurally equal), and walking them backwards
+     with [replace] lets the first occurrence in source order win when
+     statements share an identity (builder-made code) or a location. *)
+  let rev_stmts (f : Ast.func) =
+    Ast.fold_stmts (fun acc s -> s :: acc) [] f.Ast.body
+  in
+  let old_stmts = rev_stmts cached and new_stmts = rev_stmts fresh in
+  (* The graph's statements become the fresh function's own: consumers
+     that key by statement identity (the instrumentation) then find
+     them in the fresh AST. *)
+  let stmts = Ast.Stmt_tbl.create (List.length old_stmts) in
+  let moved = ref (not (Loc.equal cached.Ast.floc fresh.Ast.floc)) in
+  List.iter2
+    (fun (o : Ast.stmt) (n : Ast.stmt) ->
+      Ast.Stmt_tbl.replace stmts o n;
+      if not (Loc.equal o.Ast.sloc n.Ast.sloc) then moved := true)
+    old_stmts new_stmts;
+  let stmt s = Option.value ~default:s (Ast.Stmt_tbl.find_opt stmts s) in
+  if not !moved then
+    {
+      fr with
+      Parcoach.Driver.graph =
+        Cfg.Graph.map_stmts ~stmt ~loc:Fun.id fr.Parcoach.Driver.graph;
+    }
   else begin
-    let map = Hashtbl.create (List.length old_locs) in
-    (* First binding wins: statements sharing a location (builder-made
-       code) map consistently because both lists are in source order. *)
+    let map = Hashtbl.create 64 in
     List.iter2
-      (fun o n -> if not (Hashtbl.mem map o) then Hashtbl.add map o n)
-      old_locs new_locs;
+      (fun (o : Ast.stmt) (n : Ast.stmt) -> Hashtbl.replace map o.Ast.sloc n.Ast.sloc)
+      old_stmts new_stmts;
+    Hashtbl.replace map cached.Ast.floc fresh.Ast.floc;
     let reloc l = Option.value ~default:l (Hashtbl.find_opt map l) in
     let warnings =
       List.sort_uniq
@@ -69,5 +86,14 @@ let func_report ~cached ~fresh (fr : Parcoach.Driver.func_report) =
              })
            fr.Parcoach.Driver.warnings)
     in
-    { fr with Parcoach.Driver.warnings }
+    {
+      fr with
+      Parcoach.Driver.graph =
+        Cfg.Graph.map_stmts ~stmt ~loc:reloc fr.Parcoach.Driver.graph;
+      warnings;
+    }
   end
+
+(* The same AST: the graph is already over [fresh]. *)
+let func_report ~cached ~fresh fr =
+  if cached == fresh then fr else relocate ~cached ~fresh fr

@@ -1,7 +1,8 @@
 (** Tests for the dynamic partial-order reduction explorer: the {!Dpor}
     dependence/happens-before primitives on hand-built steps, and
-    {!Explore.outcomes_dpor} against the brute-force reference on the
-    shared reproducers and the deep [racy_ring] example. *)
+    {!Explore.outcomes_dpor} against the executable spec's brute-force
+    enumeration ({!Simspec.explore}) on the shared reproducers and the
+    deep [racy_ring] example. *)
 
 open Interp
 
@@ -149,21 +150,21 @@ let check_invariant name (s : Explore.summary) =
 
 let engine_tests =
   [
-    Alcotest.test_case "covers the reference classes on every reproducer"
+    Alcotest.test_case "covers the reference classes (spec DFS) on every reproducer"
       `Slow (fun () ->
         List.iter
           (fun (e : Benchsuite.Reproducers.entry) ->
             let program = Benchsuite.Reproducers.program e in
             let name = e.Benchsuite.Reproducers.name in
-            let reference =
-              Explore.outcomes_reference ~branch_depth:8 ~budget:200_000
+            let spec =
+              Simspec.explore ~branch_depth:8 ~budget:200_000
                 ~config:(config ()) program
             in
             let dpor = run_dpor program in
             Alcotest.(check bool)
-              (name ^ ": reference classes covered")
+              (name ^ ": spec classes covered")
               true
-              (subset (classes reference) (classes dpor));
+              (subset (classes spec) (classes dpor));
             check_invariant name dpor)
           Benchsuite.Reproducers.all);
     Alcotest.test_case "witness scripts replay to their class" `Quick

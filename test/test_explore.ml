@@ -79,13 +79,13 @@ let tests =
           (s.Explore.replays <= 50);
         Alcotest.(check bool) "runs count everything represented" true
           (s.Explore.runs >= s.Explore.replays));
-    Alcotest.test_case "pruned engine matches the reference on the reproducers"
+    Alcotest.test_case "pruned engine matches the spec's unpruned DFS on the reproducers"
       `Quick (fun () ->
         List.iter
           (fun (e : Benchsuite.Reproducers.entry) ->
             let program = Benchsuite.Reproducers.program e in
-            let reference =
-              Explore.outcomes_reference ~branch_depth:8 ~budget:100_000
+            let spec =
+              Simspec.explore ~branch_depth:8 ~budget:100_000
                 ~config:(config ()) program
             in
             let pruned =
@@ -104,11 +104,11 @@ let tests =
             in
             Alcotest.(check (list string))
               (e.Benchsuite.Reproducers.name ^ ": same classes")
-              (classes reference) (classes pruned);
+              (classes spec) (classes pruned);
             Alcotest.(check bool)
               (e.Benchsuite.Reproducers.name ^ ": same counts")
               true
-              (counts reference = counts pruned))
+              (counts spec = counts pruned))
           Benchsuite.Reproducers.all);
     Alcotest.test_case "pruning replays far fewer schedules than it represents"
       `Quick (fun () ->

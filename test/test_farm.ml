@@ -85,8 +85,78 @@ let obs_list (r : Farm.Pipeline.result) =
     (Array.map (fun (v : Farm.Pipeline.verdict) -> v.Farm.Pipeline.obs)
        r.Farm.Pipeline.verdicts)
 
+(* Instrumented text plus every statement location: the inserted checks
+   take the location of the statement they guard. *)
+let instrumented_view (report : Parcoach.Driver.report) =
+  let p =
+    Parcoach.Instrument.instrument report Parcoach.Instrument.Exhaustive
+  in
+  ( Minilang.Pretty.program_to_string p,
+    List.concat_map
+      (fun f ->
+        List.map (fun s -> s.Minilang.Ast.sloc) (Minilang.Ast.stmts_of_func f))
+      p.Minilang.Ast.funcs )
+
+(* Analyze [text] cold, then re-parse [text'] (the same functions, at the
+   same or shifted lines) and analyze it reusing the cold summaries
+   relocated onto the fresh functions, as the farm and the daemon do. *)
+let reused_and_fresh text text' =
+  let parse t = Minilang.Parser.parse_string ~file:"<farm>" t in
+  let options = Farm.Oracle.options in
+  let cold = Parcoach.Driver.analyze ~options (parse text) in
+  let program = parse text' in
+  let summaries =
+    List.combine cold.Parcoach.Driver.program.Minilang.Ast.funcs
+      cold.Parcoach.Driver.funcs
+  in
+  let reuse (f : Minilang.Ast.func) =
+    List.find_map
+      (fun ((cached : Minilang.Ast.func), fr) ->
+        if String.equal cached.Minilang.Ast.fname f.Minilang.Ast.fname then
+          Some (Serve.Relocate.func_report ~cached ~fresh:f fr)
+        else None)
+      summaries
+  in
+  ( instrumented_view (Parcoach.Driver.analyze ~options ~reuse program),
+    instrumented_view (Parcoach.Driver.analyze ~options program) )
+
+let cc_verdicts (r : Farm.Pipeline.result) =
+  Array.map
+    (fun (v : Farm.Pipeline.verdict) -> v.Farm.Pipeline.obs.Farm.Oracle.cc)
+    r.Farm.Pipeline.verdicts
+
 let tests =
   [
+    Alcotest.test_case "relocated summaries instrument like fresh analysis"
+      `Quick (fun () ->
+        let entries = Farm.Pipeline.corpus spec_small in
+        Array.iter
+          (fun (e : Farm.Pipeline.entry) ->
+            let text = Minilang.Pretty.program_to_string e.Farm.Pipeline.program in
+            List.iter
+              (fun (layout, text') ->
+                let reused, fresh = reused_and_fresh text text' in
+                Alcotest.(check bool)
+                  (Printf.sprintf "entry %d, %s lines" e.Farm.Pipeline.id layout)
+                  true (reused = fresh))
+              [ ("unchanged", text); ("shifted", "\n\n// moved\n" ^ text) ])
+          entries);
+    Alcotest.test_case "cc verdicts match the serial baseline (seed 16845392)"
+      `Quick (fun () ->
+        let spec = { Farm.Pipeline.default_spec with Farm.Pipeline.seed = 16845392 } in
+        let serial = cc_verdicts (Farm.Pipeline.run_serial spec) in
+        List.iter
+          (fun jobs ->
+            Array.iteri
+              (fun i cc ->
+                match cc with
+                | None -> ()
+                | Some _ ->
+                    Alcotest.(check (option (list string)))
+                      (Printf.sprintf "jobs %d, entry %d" jobs i)
+                      serial.(i) cc)
+              (cc_verdicts (Farm.Pipeline.run ~jobs spec)))
+          [ 1; 2 ]);
     Alcotest.test_case "verdicts are domain-count invariant" `Quick (fun () ->
         let r1 = Farm.Pipeline.run ~jobs:1 ~shards:4 ~batch:4 spec_small in
         let r2 = Farm.Pipeline.run ~jobs:2 ~shards:4 ~batch:4 spec_small in

@@ -389,11 +389,11 @@ let properties =
                Divergence in P2P-free programs must never deadlock. *)
             has_p2p
         | Interp.Sim.Step_limit -> false);
-    (* The tentpole contract of the pruned parallel explorer: on racy
-       programs it reports exactly the class set and per-class counts of
-       the unpruned sequential reference, and is deterministic in the
-       number of domains. *)
-    Test.make ~name:"pruned exploration = reference (classes, counts, jobs)"
+    (* The contract of the pruned parallel explorer: on racy programs it
+       reports exactly the class set and per-class counts of the
+       executable spec's unpruned sequential enumeration, and is
+       deterministic in the number of domains. *)
+    Test.make ~name:"pruned exploration = reference spec DFS (classes, counts, jobs)"
       ~count:25 arb_racy_program (fun p ->
         let config =
           {
@@ -407,9 +407,7 @@ let properties =
           }
         in
         let branch_depth = 4 and budget = 50_000 in
-        let reference =
-          Interp.Explore.outcomes_reference ~branch_depth ~budget ~config p
-        in
+        let spec = Simspec.explore ~branch_depth ~budget ~config p in
         let pruned jobs =
           Interp.Explore.outcomes ~branch_depth ~budget ~jobs ~config p
         in
@@ -424,21 +422,21 @@ let properties =
         let classes (s : Interp.Explore.summary) =
           List.sort compare (List.map fst s.Interp.Explore.witnesses)
         in
-        counts reference = counts p1
-        && classes reference = classes p1
+        counts spec = counts p1
+        && classes spec = classes p1
         && String.equal
              (Interp.Explore.summary_to_string p1)
              (Interp.Explore.summary_to_string (pruned 4)));
     (* The DPOR explorer picks one representative per Mazurkiewicz trace,
-       so per-class counts legitimately differ from the reference — but
-       its contract is class coverage: with a recording window spanning
-       the whole run (racing-pair backtracks reach below [branch_depth],
-       so we size it to the round-robin run length plus slack), it must
-       reach every outcome class the reference reaches within its own
-       divergence window (and possibly more).  Every witness must replay
+       so per-class counts legitimately differ from the spec's unpruned
+       enumeration — but its contract is class coverage: with a recording
+       window spanning the whole run (racing-pair backtracks reach below
+       [branch_depth], so we size it to the round-robin run length plus
+       slack), it must reach every outcome class the spec reaches within
+       its own divergence window (and possibly more).  Every witness must replay
        to its class, the summary accounting must balance, and the result
        must be deterministic in the number of domains. *)
-    Test.make ~name:"DPOR covers the reference classes (witnesses, jobs)"
+    Test.make ~name:"DPOR covers the reference spec's classes (witnesses, jobs)"
       ~count:25 arb_racy_program (fun p ->
         let config =
           {
@@ -452,9 +450,7 @@ let properties =
           }
         in
         let budget = 50_000 in
-        let reference =
-          Interp.Explore.outcomes_reference ~branch_depth:4 ~budget ~config p
-        in
+        let spec = Simspec.explore ~branch_depth:4 ~budget ~config p in
         let run_length =
           (Interp.Sim.run ~config p).Interp.Sim.stats.Interp.Sim.steps
         in
@@ -468,7 +464,7 @@ let properties =
         in
         List.for_all
           (fun c -> List.mem c (classes d1))
-          (classes reference)
+          (classes spec)
         && d1.Interp.Explore.runs
            = d1.Interp.Explore.replays + d1.Interp.Explore.pruned
         && List.for_all
